@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -359,7 +360,7 @@ def _parse_json_lists(text: str, flag: str) -> list:
 def _cmd_check_representation(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
-    report = check_representation(r, _policy(args), workers=args.workers)
+    report = check_representation(r, _policy(args))
     _emit(args, render_report(report))
     return 0 if report.empty else 1
 
@@ -367,9 +368,7 @@ def _cmd_check_representation(args) -> int:
 def _cmd_check_fact14(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
-    report = check_by_partial_automorphisms(
-        r, _policy(args), max_domain=args.max_domain, workers=args.workers
-    )
+    report = check_by_partial_automorphisms(r, _policy(args), max_domain=args.max_domain)
     _emit(args, render_report(report))
     return 0 if report.empty else 1
 
@@ -433,6 +432,23 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
+def _check_random_family_flags(args) -> None:
+    """Reject family shapes that no sampling can fill, before drawing any."""
+    for flag, value in (("--universe", args.universe), ("--set-size", args.set_size)):
+        if value < 0:
+            raise WorkspaceError(f"{flag} must be >= 0, got {value}")
+    if args.set_size > args.universe:
+        raise WorkspaceError(
+            f"--set-size {args.set_size} exceeds --universe {args.universe}"
+        )
+    available = math.comb(args.universe, args.set_size)
+    if args.family_size > available:
+        raise WorkspaceError(
+            f"--family-size {args.family_size} exceeds the {available} distinct "
+            f"{args.set_size}-sets of a universe of {args.universe}"
+        )
+
+
 def _cmd_delta_system(args) -> int:
     if args.sets is None and not args.random:
         raise WorkspaceError("delta-system needs --sets or --random")
@@ -448,6 +464,7 @@ def _cmd_delta_system(args) -> int:
             print("certificate rejected: " + "; ".join(problems))
             return 1
         return 0
+    _check_random_family_flags(args)
     rng = random.Random(args.seed)
     last = None
     for round_no in range(args.random):
@@ -501,7 +518,7 @@ def _cmd_demo(args) -> int:
     print(render_report(d).human)
     r = build_term_representation(o, m, d, args.mode.replace("-", "_"))
     print(render_report(r).human)
-    report = check_representation(r, _policy(args), workers=args.workers)
+    report = check_representation(r, _policy(args))
     _emit(args, render_report(report))
     return 0 if report.empty else 1
 
@@ -509,7 +526,6 @@ def _cmd_demo(args) -> int:
 def _add_checker_flags(p, tuple_len_default=2):
     p.add_argument("--max-tuple-len", type=int, default=tuple_len_default)
     p.add_argument("--delta", default="orbit", help="orbit or ef:D")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the machine-readable report here")
 
 

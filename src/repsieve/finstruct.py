@@ -10,9 +10,10 @@ universe ``{0, ..., size-1}``.  Three oracles matter downstream:
 
 ``type_equal``
     full-type equality of two tuples in the same structure, either exact
-    (``"orbit"``: some automorphism maps one tuple to the other pointwise)
-    or approximate (``("ef", d)``: the duplicator survives ``d`` rounds of
-    the back-and-forth game).  The approximation has one-sided error: it
+    (``"orbit"``: some automorphism maps one tuple to the other pointwise,
+    answered by the structure's ``OrbitEngine``) or approximate
+    (``("ef", d)``: the duplicator survives ``d`` rounds of the
+    back-and-forth game).  The approximation has one-sided error: it
     may conflate tuples that lie in different orbits, never the converse,
     and it coincides with the orbit oracle at depth ``size``.
 
@@ -37,6 +38,7 @@ __all__ = [
     "qf_closure",
     "qf_type",
     "type_equal",
+    "OrbitEngine",
     "automorphism_extending",
     "partial_automorphisms",
 ]
@@ -131,10 +133,6 @@ class FiniteStructure:
     def _fn_index(self) -> dict:
         return {f.name: f for f in self.functions}
 
-    @cached_property
-    def vocabulary(self) -> frozenset:
-        return frozenset(self._rel_index) | frozenset(self._fn_index)
-
     # Per-element indexes used by the backtracking searches.
     @cached_property
     def _rel_by_elem(self) -> dict:
@@ -165,8 +163,12 @@ class FiniteStructure:
         return {}
 
     @cached_property
-    def _teq_memo(self) -> dict:
+    def _teq_memo(self) -> dict:  # ("ef", d) verdicts only
         return {}
+
+    @cached_property
+    def orbits(self) -> "OrbitEngine":
+        return OrbitEngine(self)
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,9 @@ def automorphism_extending(s: FiniteStructure, t1: Sequence[int], t2: Sequence[i
     """Some automorphism of ``s`` with t1 -> t2 pointwise, or None.
 
     Backtracking with a most-constrained-element heuristic; sound and complete
-    because pair admission checks every atom whose support just completed."""
+    because pair admission checks every atom whose support just completed.
+    This is the plain reference search that the ``OrbitEngine`` is tested
+    against; ``type_equal`` does not call it."""
     if len(t1) != len(t2):
         raise ValueError("tuples must have equal length")
     start = _admit_pairs(s, zip(t1, t2))
@@ -413,6 +417,205 @@ def _ef_equal(s: FiniteStructure, t1, t2, depth: int) -> bool:
     return _ef_wins(s, frozenset(fwd.items()), depth)
 
 
+class _OrbitTable:
+    """Union-find over all ``n ** k`` tuples of one length, indexed in base
+    ``n`` (lexicographic order).  Kept flat: ``root[i]`` is the least index
+    of tuple ``i``'s class, so the root of a class is its least tuple."""
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+        self.root = list(range(n**k))
+        self.apart: set = set()  # root pairs known to lie in different orbits
+
+    def index(self, t: tuple) -> int:
+        i = 0
+        for x in t:
+            i = i * self.n + x
+        return i
+
+    def close(self, perm: tuple) -> None:
+        """Merge every tuple's class with the class of its image under ``perm``."""
+        image = [0]
+        for _ in range(self.k):
+            image = [i * self.n + p for i in image for p in perm]
+        root = self.root
+
+        def find(i):
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        for i, j in enumerate(image):
+            a, b = find(i), find(j)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+        # every parent index is below its child's, so one ascending pass flattens
+        for i, p in enumerate(root):
+            root[i] = root[p]
+        self.apart = {
+            (min(root[a], root[b]), max(root[a], root[b])) for a, b in self.apart
+        }
+
+
+class OrbitEngine:
+    """Exact orbit oracle of one structure.
+
+    A query ``equal(t1, t2)`` asks whether some automorphism maps ``t1`` to
+    ``t2`` pointwise.  It is answered in three ways, cheapest first:
+
+    * an orbit table of that tuple length, if one was built: a union-find
+      over all tuples, closed under every automorphism found so far, plus
+      the negative verdicts stored per pair of roots;
+    * colour refinement (1-dimensional Weisfeiler-Leman) of the structure
+      with each tuple's positions individualised: differing colour
+      multisets prove that no automorphism exists;
+    * otherwise individualisation-refinement search that only pairs
+      elements of equal colour.  Every automorphism it finds is kept and
+      applied to every table, present and future.
+
+    Tables are built on request, by callers that enumerate every tuple of
+    that length anyway.  Colour ids are interned per engine, so the
+    colouring of a tuple is computed once and compared against any other.
+    """
+
+    def __init__(self, s: FiniteStructure):
+        self.size = s.size
+        atoms = []  # (symbol, elements); a function entry reads as (args..., value)
+        for sym, r in enumerate(s.relations):
+            atoms.extend((sym, tup) for tup in r.tuples)
+        for sym, f in enumerate(s.functions, start=len(s.relations)):
+            atoms.extend((sym, args + (val,)) for args, val in f.graph)
+        self._atoms = frozenset(atoms)
+        self._incidence = [[] for _ in range(s.size)]
+        for sym, elems in atoms:
+            for pos, e in enumerate(elems):
+                self._incidence[e].append((sym, pos, elems))
+        self._ids: dict = {}  # colour signature -> colour id
+        self._colourings: dict = {}  # tuple -> (colouring, sorted colouring)
+        self._verdicts: dict = {}  # (t1, t2) with t1 < t2 -> bool, lengths without a table
+        self._tables: dict = {}  # length -> _OrbitTable
+        self.automorphisms: list = []  # every one found, as image tuples
+        self._base = self._refine([self._ids.setdefault(("base",), 0)] * s.size)
+
+    def build_table(self, length: int) -> None:
+        """Answer every later query of this length from an orbit table."""
+        if length not in self._tables:
+            table = _OrbitTable(self.size, length)
+            for perm in self.automorphisms:
+                table.close(perm)
+            self._tables[length] = table
+
+    def equal(self, t1: tuple, t2: tuple) -> bool:
+        for x in t1 + t2:
+            if not (0 <= x < self.size):
+                raise ValueError(f"tuple element {x} outside universe of size {self.size}")
+        if t1 == t2:
+            return True
+        table = self._tables.get(len(t1))
+        if table is None:
+            key = (t1, t2) if t1 < t2 else (t2, t1)
+            verdict = self._verdicts.get(key)
+            if verdict is None:
+                verdict = self._verdicts[key] = self._search_pair(t1, t2)
+            return verdict
+        a, b = table.root[table.index(t1)], table.root[table.index(t2)]
+        if a == b:
+            return True
+        key = (a, b) if a < b else (b, a)
+        if key in table.apart:
+            return False
+        if self._search_pair(t1, t2):
+            return True
+        table.apart.add(key)
+        return False
+
+    def _refine(self, col: list) -> tuple:
+        """Refine to the coarsest equitable colouring below ``col``."""
+        ids = self._ids
+        incidence = self._incidence
+        cells = len(set(col))
+        if cells == len(col):
+            return tuple(col)
+        while True:
+            col = [
+                ids.setdefault(
+                    (c, tuple(sorted((sym, pos, tuple(col[e] for e in elems))
+                                     for sym, pos, elems in incidence[x]))),
+                    len(ids),
+                )
+                for x, c in enumerate(col)
+            ]
+            k = len(set(col))
+            if k == cells:
+                return tuple(col)
+            cells = k
+
+    def _colouring(self, t: tuple) -> tuple:
+        got = self._colourings.get(t)
+        if got is None:
+            positions: dict = {}
+            for i, x in enumerate(t):
+                positions.setdefault(x, []).append(i)
+            ids = self._ids
+            col = self._refine(
+                [
+                    ids.setdefault(("tuple", c, tuple(positions.get(x, ()))), len(ids))
+                    for x, c in enumerate(self._base)
+                ]
+            )
+            got = self._colourings[t] = (col, sorted(col))
+        return got
+
+    def _individualise(self, col: tuple, x: int) -> tuple:
+        ids = self._ids
+        return self._refine(
+            [ids.setdefault((c, z == x), len(ids)) for z, c in enumerate(col)]
+        )
+
+    def _search_pair(self, t1: tuple, t2: tuple) -> bool:
+        ca, sorted_a = self._colouring(t1)
+        cb, sorted_b = self._colouring(t2)
+        if sorted_a != sorted_b:
+            return False
+        perm = self._search(ca, cb)
+        if perm is None:
+            return False
+        self.automorphisms.append(perm)
+        for table in self._tables.values():
+            table.close(perm)
+        return True
+
+    def _search(self, ca: tuple, cb: tuple):
+        """An automorphism sending each element of colour c under ``ca`` to
+        one of colour c under ``cb``, or None.  Both colourings are
+        equitable with equal multisets."""
+        cells: dict = {}
+        for x, c in enumerate(ca):
+            cells.setdefault(c, []).append(x)
+        if len(cells) == len(ca):
+            where = {c: y for y, c in enumerate(cb)}
+            perm = tuple(where[c] for c in ca)
+            atoms = self._atoms
+            if all((sym, tuple(perm[e] for e in elems)) in atoms for sym, elems in atoms):
+                return perm
+            return None
+        _, target = min((len(xs), c) for c, xs in cells.items() if len(xs) > 1)
+        na = self._individualise(ca, cells[target][0])
+        sorted_na = sorted(na)
+        for y, c in enumerate(cb):
+            if c == target:
+                nb = self._individualise(cb, y)
+                if sorted(nb) == sorted_na:
+                    perm = self._search(na, nb)
+                    if perm is not None:
+                        return perm
+        return None
+
+
 def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy="orbit") -> bool:
     """Full-type equality of two tuples of ``s``.
 
@@ -421,19 +624,17 @@ def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy=
     t1, t2 = tuple(t1), tuple(t2)
     if len(t1) != len(t2):
         raise ValueError("tuples must have equal length")
-    if policy != "orbit":
-        tag, d = policy
-        if tag != "ef" or d < 0:
-            raise ValueError(f"unknown type policy {policy!r}")
-    if t2 < t1:  # equality is symmetric for both policies; normalise cache keys
+    if policy == "orbit":
+        return s.orbits.equal(t1, t2)
+    tag, d = policy
+    if tag != "ef" or d < 0:
+        raise ValueError(f"unknown type policy {policy!r}")
+    if t2 < t1:  # equality is symmetric; normalise cache keys
         t1, t2 = t2, t1
     memo = s._teq_memo
-    key = (t1, t2, policy)
+    key = (t1, t2, d)
     if key not in memo:
-        if policy == "orbit":
-            memo[key] = automorphism_extending(s, t1, t2) is not None
-        else:
-            memo[key] = _ef_equal(s, t1, t2, policy[1])
+        memo[key] = _ef_equal(s, t1, t2, d)
     return memo[key]
 
 
@@ -463,9 +664,6 @@ class PartialAutomorphism:
 
     def apply(self, t: Sequence[int]) -> tuple:
         return tuple(self.as_dict[x] for x in t)
-
-    def inverse(self) -> "PartialAutomorphism":
-        return PartialAutomorphism(tuple(sorted((b, a) for a, b in self.pairs)))
 
     def violations(self, s: FiniteStructure) -> list:
         """Re-check the defining conditions against ``s``; empty means valid."""

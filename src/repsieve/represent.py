@@ -20,7 +20,6 @@ all tuples up to a length bound:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -164,15 +163,8 @@ def _validated(r: RepresentationMap):
         raise ValueError("invalid representation map: " + "; ".join(problems))
 
 
-def _image_types(r: RepresentationMap, tuples: list, workers: int) -> list:
-    if workers <= 1:
-        return [qf_type(r.target, r.image(t)) for t in tuples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: qf_type(r.target, r.image(t)), tuples))
-
-
 def check_representation(
-    r: RepresentationMap, policy: CheckerPolicy = CheckerPolicy(), workers: int = 1
+    r: RepresentationMap, policy: CheckerPolicy = CheckerPolicy()
 ) -> ViolationReport:
     """Exhaustive tuple-comparison checker.
 
@@ -187,11 +179,11 @@ def check_representation(
     entries = []
     checked = 0
     for length in range(1, policy.max_tuple_len + 1):
-        tuples = list(itertools.product(range(r.source.size), repeat=length))
-        types = _image_types(r, tuples, workers)
+        if policy.delta == "orbit":
+            r.source.orbits.build_table(length)
         reps: dict = {}
-        for t, tp in zip(tuples, types):
-            rep = reps.setdefault(tp, t)
+        for t in itertools.product(range(r.source.size), repeat=length):
+            rep = reps.setdefault(qf_type(r.target, r.image(t)), t)
             if rep is t:
                 continue
             checked += 1
@@ -218,7 +210,6 @@ def check_by_partial_automorphisms(
     r: RepresentationMap,
     policy: CheckerPolicy = CheckerPolicy(),
     max_domain: int = 8,
-    workers: int = 1,
 ) -> ViolationReport:
     """Partial-automorphism checker.
 
@@ -253,7 +244,14 @@ def check_by_partial_automorphisms(
         length: [(t, r.image(t), frozenset(r.image(t))) for t in tuples_by_len[length]]
         for length in tuples_by_len
     }
-    def handle_domain(u):
+    if policy.delta == "orbit":
+        for length in tuples_by_len:
+            r.source.orbits.build_table(length)
+
+    entries = []
+    checked = 0
+    seen_pairs = set()
+    for u in sorted(domains, key=lambda d: (len(d), d)):
         uset = set(u)
         relevant = [
             (t, img)
@@ -261,8 +259,6 @@ def check_by_partial_automorphisms(
             for (t, img, imgset) in images[length]
             if imgset <= uset
         ]
-        found = []
-        checks = 0
         for fwd in _all_extensions(r.target, u):
             img_range = set(fwd.values())
             if set(qf_closure(r.target, sorted(img_range))) != img_range:
@@ -273,9 +269,10 @@ def check_by_partial_automorphisms(
                 if any(fs is None for fs in fiber_sets):
                     continue
                 for b in itertools.product(*fiber_sets):
-                    checks += 1
-                    if not type_equal(r.source, t, b, policy.delta):
-                        found.append(
+                    checked += 1
+                    if not type_equal(r.source, t, b, policy.delta) and (t, b) not in seen_pairs:
+                        seen_pairs.add((t, b))
+                        entries.append(
                             ViolationEntry(
                                 a=t,
                                 b=b,
@@ -287,23 +284,6 @@ def check_by_partial_automorphisms(
                                 ),
                             )
                         )
-        return found, checks
-
-    ordered = sorted(domains, key=lambda d: (len(d), d))
-    if workers <= 1:
-        results = [handle_domain(u) for u in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(handle_domain, ordered))
-    entries = []
-    checked = 0
-    seen_pairs = set()
-    for found, checks in results:
-        checked += checks
-        for e in found:
-            if (e.a, e.b) not in seen_pairs:
-                seen_pairs.add((e.a, e.b))
-                entries.append(e)
     entries.sort(key=lambda e: (len(e.a), e.a, e.b))
     return ViolationReport(
         checker="partial-automorphism",

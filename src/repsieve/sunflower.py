@@ -36,11 +36,6 @@ class SunflowerCertificate:
     rep_equiv: tuple  # partition of positions by within-sequence value equality
     mode: str  # "exhaustive" | "greedy"
 
-    def equiv_pairs(self) -> frozenset:
-        return frozenset(
-            (i, j) for cls in self.rep_equiv for i in cls for j in cls
-        )
-
 
 @dataclass(frozen=True)
 class DeltaSystemFailure:

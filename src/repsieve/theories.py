@@ -279,6 +279,7 @@ def _max_indiscernible(m: FiniteStructure) -> tuple:
     Pair orbits are canonicalised up front: one comparison per pair and
     orbit representative instead of one per pair and seed."""
     best = (0,) if m.size else ()
+    m.orbits.build_table(2)
     reps: list = []
     cls: dict = {}
     for p in itertools.permutations(range(m.size), 2):

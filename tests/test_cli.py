@@ -89,14 +89,6 @@ class TestCheckers:
     def test_ef_delta_accepted(self, ex2_ws):
         assert run_command(["check-representation", ex2_ws, "--delta", "ef:1"]) == 0
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, ex2_ws):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        run_command(["check-representation", ex2_ws, "--max-tuple-len", "3",
-                     "--workers", "1", "--out", a])
-        run_command(["check-representation", ex2_ws, "--max-tuple-len", "3",
-                     "--workers", "4", "--out", b])
-        assert open(a).read() == open(b).read()
-
 
 class TestBuilders:
     def test_build_sid_report(self, theories_ws, tmp_path, capsys):
@@ -172,6 +164,23 @@ class TestDeltaSystem:
 
     def test_needs_input(self, capsys):
         assert run_command(["delta-system"]) == 2
+
+    @pytest.mark.parametrize(
+        "shape, flag",
+        [
+            (["--family-size", "50", "--set-size", "1", "--universe", "3"], "--family-size"),
+            (["--family-size", "1", "--set-size", "4", "--universe", "3"], "--set-size"),
+            (["--universe", "-1"], "--universe"),
+        ],
+    )
+    def test_infeasible_random_family_rejected(self, shape, flag, capsys):
+        assert run_command(["delta-system", "--random", "1", *shape]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_largest_feasible_random_family_packs(self, capsys):
+        # all three 2-sets of a 3-element universe: the check must not reject it
+        assert run_command(["delta-system", "--random", "1", "--family-size", "3",
+                            "--set-size", "2", "--universe", "3", "--target", "2"]) == 0
 
 
 class TestProbe:

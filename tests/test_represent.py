@@ -90,11 +90,10 @@ class TestCheckRepresentation:
         assert report.entries[0].a == (1, 2)
         assert report.entries[0].b == (1, 1)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         r = one_per_class_rep(False)
         p = CheckerPolicy(max_tuple_len=2)
         assert check_representation(r, p) == check_representation(r, p)
-        assert check_representation(r, p) == check_representation(r, p, workers=3)
 
     def test_entries_revalidate_and_are_symmetric(self):
         r = one_per_class_rep(False)
@@ -148,14 +147,6 @@ class TestCheckByPartialAutomorphisms:
         r = one_per_class_rep(True)
         with pytest.raises(ValueError, match="inconclusive"):
             check_by_partial_automorphisms(r, CheckerPolicy(max_tuple_len=2), max_domain=1)
-
-    def test_worker_independence(self):
-        src = linear(4)
-        r = RepresentationMap.make(src, pure_target(4), list(range(4)))
-        p = CheckerPolicy(max_tuple_len=2)
-        a = check_by_partial_automorphisms(r, p, max_domain=2)
-        b = check_by_partial_automorphisms(r, p, max_domain=2, workers=3)
-        assert a == b
 
 
 @given(st.integers(2, 5), st.data())
