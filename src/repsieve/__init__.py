@@ -21,7 +21,6 @@ from repsieve.finstruct import (
     FiniteStructure,
     PartialAutomorphism,
     QfType,
-    partial_automorphisms,
     qf_closure,
     qf_type,
     type_equal,
@@ -40,15 +39,12 @@ from repsieve.sunflower import (
     DeltaSystemFailure,
     SunflowerCertificate,
     delta_system,
-    regressive_fiber,
     validate_sunflower,
 )
 from repsieve.sieve import (
-    IndiscernibilityCertificate,
     ProbeReport,
     SieveBottleneck,
     SieveTrace,
-    indiscernibility_certificate,
     instability_probe,
     sieve,
     validate_trace,

@@ -1,7 +1,7 @@
 """Finite relational structures with partial functions and type oracles.
 
 A structure carries named relations and named partial functions over a
-universe ``{0, ..., size-1}``.  Three oracles matter downstream:
+universe ``{0, ..., size-1}``.  Two oracles matter downstream:
 
 ``qf_type``
     canonical quantifier-free type of a tuple: the isomorphism type of the
@@ -16,15 +16,10 @@ universe ``{0, ..., size-1}``.  Three oracles matter downstream:
     back-and-forth game).  The approximation has one-sided error: it
     may conflate tuples that lie in different orbits, never the converse,
     and it coincides with the orbit oracle at depth ``size``.
-
-``partial_automorphisms``
-    exhaustive enumeration of injective partial maps that preserve all
-    relations and function graphs in both directions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -40,12 +35,7 @@ __all__ = [
     "type_equal",
     "OrbitEngine",
     "automorphism_extending",
-    "partial_automorphisms",
 ]
-
-# Free (non-generator) closure elements are canonicalised by exhaustive
-# relabeling; closures past this many free elements are a usage error.
-_FREE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -133,24 +123,18 @@ class FiniteStructure:
     def _fn_index(self) -> dict:
         return {f.name: f for f in self.functions}
 
-    # Per-element indexes used by the backtracking searches.
     @cached_property
-    def _rel_by_elem(self) -> dict:
-        idx = {e: [] for e in range(self.size)}
-        for r in self.relations:
-            for t in r.tuples:
-                for e in set(t):
-                    idx[e].append((r.name, t))
-        return idx
-
-    @cached_property
-    def _fn_by_elem(self) -> dict:
-        idx = {e: [] for e in range(self.size)}
-        for f in self.functions:
-            for args, val in f.graph:
-                for e in set(args) | {val}:
-                    idx[e].append((f.name, args, val))
-        return idx
+    def _atom_index(self) -> tuple:
+        """Every relation tuple and function entry as ``(symbol name,
+        elements)``, a function entry reading as ``args + (value,)``: the set
+        of all atoms, and per element the atoms that mention it, each once."""
+        atoms = [(r.name, tup) for r in self.relations for tup in r.tuples]
+        atoms += [(f.name, args + (val,)) for f in self.functions for args, val in f.graph]
+        incidence = [[] for _ in range(self.size)]
+        for atom in atoms:
+            for e in dict.fromkeys(atom[1]):
+                incidence[e].append(atom)
+        return frozenset(atoms), incidence
 
     # Memo tables keyed per structure instance so nothing rehashes the whole
     # structure on every oracle call.
@@ -210,56 +194,34 @@ def qf_closure(s: FiniteStructure, elems: Iterable[int], fn_names=None) -> list:
 
 
 def _qf_type_uncached(s: FiniteStructure, t: tuple) -> QfType:
-    closure = qf_closure(s, t)
-    in_closure = set(closure)
-    gen_label = {}
+    # The closure is generated by ``t``, so an isomorphism of two closures
+    # that fixes the tuples pointwise is unique.  Labelling elements in
+    # generation order therefore needs no search: generators by first
+    # occurrence, then, per round and function, each new value in sorted
+    # order of its argument labels.  The key lists the atoms inside the
+    # closure (an atom on no element holds for every tuple alike).
+    label: dict = {}
     for x in t:
-        gen_label.setdefault(x, len(gen_label))
-    k = len(gen_label)
-    free = [x for x in closure if x not in gen_label]
-    if len(free) > _FREE_LIMIT:
-        raise ValueError(
-            f"qf_type: closure has {len(free)} non-generator elements; "
-            f"canonicalization is only supported up to {_FREE_LIMIT}"
-        )
-    # atoms restricted to the closure, extracted once before permuting labels
-    rel_atoms = [
-        (r.name, [tup for tup in r.tuples if all(e in in_closure for e in tup)])
-        for r in s.relations
-    ]
-    fn_atoms = [
-        (
-            f.name,
-            [
-                (args, v)
+        label.setdefault(x, len(label))
+    labelled, relabel = label.__contains__, label.__getitem__
+    gen = tuple(map(relabel, t))
+    changed = True
+    while changed:
+        changed = False
+        for f in s.functions:
+            found = sorted(
+                (tuple(map(relabel, args)), v)
                 for args, v in f.graph
-                if v in in_closure and all(a in in_closure for a in args)
-            ],
-        )
-        for f in s.functions
-    ]
-    gen = tuple(gen_label[x] for x in t)
-
-    def serial(label):
-        rels = tuple(
-            (name, tuple(sorted(tuple(label[e] for e in tup) for tup in atoms)))
-            for name, atoms in rel_atoms
-        )
-        fns = tuple(
-            (name, tuple(sorted((tuple(label[a] for a in args), label[v]) for args, v in atoms)))
-            for name, atoms in fn_atoms
-        )
-        return (gen, len(closure), rels, fns)
-
-    best = None
-    for perm in itertools.permutations(free):
-        label = dict(gen_label)
-        for i, x in enumerate(perm):
-            label[x] = k + i
-        ser = serial(label)
-        if best is None or ser < best:
-            best = ser
-    return QfType(key=best, generators=len(t), closure_size=len(closure))
+                if v not in label and all(map(labelled, args))
+            )
+            for _, v in found:
+                if v not in label:
+                    label[v] = len(label)
+                    changed = True
+    _, incidence = s._atom_index
+    atoms = {atom for x in label for atom in incidence[x] if all(map(labelled, atom[1]))}
+    key = sorted((name, tuple(map(relabel, elems))) for name, elems in atoms)
+    return QfType(key=(gen, len(label), tuple(key)), generators=len(t), closure_size=len(label))
 
 
 def qf_type(s: FiniteStructure, t: Sequence[int]) -> QfType:
@@ -281,30 +243,14 @@ def qf_type(s: FiniteStructure, t: Sequence[int]) -> QfType:
 
 
 def _delta_consistent(s: FiniteStructure, fwd: dict, bwd: dict, x: int, c: int) -> bool:
-    trial_fwd = x, c
-    for name, tup in s._rel_by_elem[x]:
-        if all(e == x or e in fwd for e in tup):
-            image = tuple(c if e == x else fwd[e] for e in tup)
-            if image not in s.relation(name).tuples:
+    atoms, incidence = s._atom_index
+    for name, elems in incidence[x]:
+        if all(e == x or e in fwd for e in elems):
+            if (name, tuple(c if e == x else fwd[e] for e in elems)) not in atoms:
                 return False
-    for name, tup in s._rel_by_elem[c]:
-        if all(e == c or e in bwd for e in tup):
-            pre = tuple(x if e == c else bwd[e] for e in tup)
-            if pre not in s.relation(name).tuples:
-                return False
-    for name, args, val in s._fn_by_elem[x]:
-        support = set(args) | {val}
-        if all(e == x or e in fwd for e in support):
-            iargs = tuple(c if e == x else fwd[e] for e in args)
-            ival = c if val == x else fwd[val]
-            if s.function(name).as_dict.get(iargs) != ival:
-                return False
-    for name, args, val in s._fn_by_elem[c]:
-        support = set(args) | {val}
-        if all(e == c or e in bwd for e in support):
-            pargs = tuple(x if e == c else bwd[e] for e in args)
-            pval = x if val == c else bwd[val]
-            if s.function(name).as_dict.get(pargs) != pval:
+    for name, elems in incidence[c]:
+        if all(e == c or e in bwd for e in elems):
+            if (name, tuple(x if e == c else bwd[e] for e in elems)) not in atoms:
                 return False
     return True
 
@@ -484,16 +430,7 @@ class OrbitEngine:
 
     def __init__(self, s: FiniteStructure):
         self.size = s.size
-        atoms = []  # (symbol, elements); a function entry reads as (args..., value)
-        for sym, r in enumerate(s.relations):
-            atoms.extend((sym, tup) for tup in r.tuples)
-        for sym, f in enumerate(s.functions, start=len(s.relations)):
-            atoms.extend((sym, args + (val,)) for args, val in f.graph)
-        self._atoms = frozenset(atoms)
-        self._incidence = [[] for _ in range(s.size)]
-        for sym, elems in atoms:
-            for pos, e in enumerate(elems):
-                self._incidence[e].append((sym, pos, elems))
+        self._atoms, self._incidence = s._atom_index
         self._ids: dict = {}  # colour signature -> colour id
         self._colourings: dict = {}  # tuple -> (colouring, sorted colouring)
         self._verdicts: dict = {}  # (t1, t2) with t1 < t2 -> bool, lengths without a table
@@ -534,7 +471,9 @@ class OrbitEngine:
         return False
 
     def _refine(self, col: list) -> tuple:
-        """Refine to the coarsest equitable colouring below ``col``."""
+        """Refine to the coarsest equitable colouring below ``col``.  An
+        element's signature lists its atoms with its own positions read as
+        -1 and every other position as that element's colour."""
         ids = self._ids
         incidence = self._incidence
         cells = len(set(col))
@@ -543,8 +482,8 @@ class OrbitEngine:
         while True:
             col = [
                 ids.setdefault(
-                    (c, tuple(sorted((sym, pos, tuple(col[e] for e in elems))
-                                     for sym, pos, elems in incidence[x]))),
+                    (c, tuple(sorted((name, tuple(-1 if e == x else col[e] for e in elems))
+                                     for name, elems in incidence[x]))),
                     len(ids),
                 )
                 for x, c in enumerate(col)
@@ -600,7 +539,7 @@ class OrbitEngine:
             where = {c: y for y, c in enumerate(cb)}
             perm = tuple(where[c] for c in ca)
             atoms = self._atoms
-            if all((sym, tuple(perm[e] for e in elems)) in atoms for sym, elems in atoms):
+            if all((name, tuple(perm[e] for e in elems)) in atoms for name, elems in atoms):
                 return perm
             return None
         _, target = min((len(xs), c) for c, xs in cells.items() if len(xs) > 1)
@@ -716,23 +655,3 @@ def _all_extensions(s: FiniteStructure, domain: tuple) -> Iterator[dict]:
             del bwd[c]
 
     yield from rec(0, {}, {})
-
-
-def partial_automorphisms(
-    s: FiniteStructure, max_domain: int, closure_fns: Iterable[str] = ()
-) -> Iterator[PartialAutomorphism]:
-    """Yield every partial automorphism whose domain has size <= ``max_domain``
-    and is closed under the functions named in ``closure_fns``.  Deterministic:
-    domains by (size, lex), maps by lex order of images.  Includes the empty
-    map."""
-    closure_fns = tuple(closure_fns)
-    for name in closure_fns:
-        s.function(name)  # raises KeyError for unknown names
-    if max_domain < 0:
-        raise ValueError("max_domain must be >= 0")
-    for k in range(max_domain + 1):
-        for combo in itertools.combinations(range(s.size), k):
-            if closure_fns and len(qf_closure(s, combo, closure_fns)) != len(combo):
-                continue
-            for fwd in _all_extensions(s, combo):
-                yield PartialAutomorphism.from_dict(fwd)

@@ -76,13 +76,6 @@ class RepresentationMap:
             out.setdefault(y, []).append(x)
         return {y: tuple(xs) for y, xs in out.items()}
 
-    def describe(self, x: int) -> str:
-        """Human-readable image of a source element."""
-        y = self.f[x]
-        if self.carrier is not None:
-            return self.carrier.term(y).render()
-        return str(y)
-
     def validate(self) -> list:
         out = []
         if len(self.f) != self.source.size:
@@ -127,10 +120,6 @@ class ViolationEntry:
     image_a: tuple
     image_b: tuple
     separation: str
-
-    def swapped(self) -> "ViolationEntry":
-        return ViolationEntry(self.b, self.a, self.image_b, self.image_a, self.separation)
-
 
 @dataclass(frozen=True)
 class ViolationReport:

@@ -46,13 +46,11 @@ from repsieve.enrich import trivial_enrichment
 __all__ = [
     "SieveBottleneck",
     "SieveTrace",
-    "IndiscernibilityCertificate",
     "ProbeReport",
     "sieve",
     "validate_trace",
     "witness_automorphism",
     "verify_indiscernible",
-    "indiscernibility_certificate",
     "instability_probe",
 ]
 
@@ -350,30 +348,6 @@ def verify_indiscernible(
             if not type_equal(m, ref, cat, policy):
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class IndiscernibilityCertificate:
-    selected: tuple
-    witnesses: tuple  # ((i, j), PartialAutomorphism) for ordered pairs
-    verified_length: int
-
-    def witness_for(self, i: int, j: int) -> PartialAutomorphism:
-        return dict(self.witnesses)[(i, j)]
-
-
-def indiscernibility_certificate(
-    trace: SieveTrace, length: int, policy="orbit"
-) -> IndiscernibilityCertificate:
-    """Bundle the per-pair witnesses with a source-side verification."""
-    witnesses = []
-    for i, j in itertools.permutations(trace.s3, 2):
-        witnesses.append(((i, j), witness_automorphism(trace, (i,), (j,))))
-    if not verify_indiscernible(trace.r.source, trace.tuples, trace.s3, length, policy):
-        raise ValueError("survivors are not indiscernible on the source side")
-    return IndiscernibilityCertificate(
-        selected=trace.s3, witnesses=tuple(witnesses), verified_length=length
-    )
 
 
 @dataclass(frozen=True)

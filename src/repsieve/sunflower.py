@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "SunflowerCertificate",
     "DeltaSystemFailure",
     "delta_system",
-    "regressive_fiber",
     "validate_sunflower",
 ]
 
@@ -42,24 +41,6 @@ class DeltaSystemFailure:
     target: int
     reason: str
     inconclusive: bool  # true when only the greedy packing was tried somewhere
-
-
-def regressive_fiber(f: Mapping[int, int]) -> tuple:
-    """Largest fiber of a regressive map; ties broken by smallest value.
-
-    Finite stand-in for a pressing-down argument: some value is hit by at
-    least ``len(f) / len(values)`` arguments.
-    """
-    if not f:
-        raise ValueError("regressive map must have nonempty domain")
-    for i, v in f.items():
-        if not v < i:
-            raise ValueError(f"map is not regressive at {i}: f({i}) = {v}")
-    fibers: dict = {}
-    for i, v in f.items():
-        fibers.setdefault(v, set()).add(i)
-    best = max(fibers, key=lambda v: (len(fibers[v]), -v))
-    return best, frozenset(fibers[best])
 
 
 def _equiv_partition(seq: Sequence) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repsieve.finstruct import FiniteStructure
 
@@ -22,7 +22,6 @@ __all__ = [
     "Term",
     "TermAlgebra",
     "build_terms",
-    "subterms",
 ]
 
 
@@ -68,13 +67,6 @@ class Term:
 
     def __repr__(self):
         return f"Term[{self.render()}]"
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Preorder enumeration of ``t`` and all its subterms."""
-    yield t
-    for a in t.args:
-        yield from subterms(a)
 
 
 @dataclass(frozen=True)
@@ -166,9 +158,6 @@ class TermAlgebra:
     def term(self, i: int) -> Term:
         return self.terms[i]
 
-    def __contains__(self, t: Term) -> bool:
-        return t in self._ids
-
     @cached_property
     def as_structure(self) -> FiniteStructure:
         """Universe = term ids.  Application graphs become relations
@@ -189,23 +178,3 @@ class TermAlgebra:
             for j in range(k):
                 functions[f"sub:{name}:{j}"] = (1, projections[j])
         return FiniteStructure.make(len(self.terms), relations=relations, functions=functions)
-
-    def closure_ids(self, ids) -> list:
-        """Subterm closure of a set of term ids, in discovery order."""
-        out = []
-        seen = set()
-        stack = list(ids)
-        for i in stack:
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
-        k = 0
-        while k < len(out):
-            t = self.terms[out[k]]
-            for a in t.args:
-                j = self._ids[a]
-                if j not in seen:
-                    seen.add(j)
-                    out.append(j)
-            k += 1
-        return out

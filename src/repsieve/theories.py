@@ -53,12 +53,40 @@ class TheorySpec:
     tag: str
     params: tuple
 
-    KNOWN = ("pure_set", "eq_rel", "nested_eq_rel", "linear_order")
+    # tag -> its parameters: ``sizes`` lists the level sizes, every other
+    # parameter is one positive integer
+    KNOWN = {
+        "pure_set": ("n",),
+        "eq_rel": ("classes", "size"),
+        "nested_eq_rel": ("sizes",),
+        "linear_order": ("n",),
+    }
 
     @classmethod
     def make(cls, tag: str, **params) -> "TheorySpec":
-        if tag not in cls.KNOWN:
-            raise ValueError(f"unknown catalog tag {tag!r}")
+        """Validated entry; an error message starts with the offending
+        field, ``tag`` or ``params.<key>``."""
+        if not isinstance(tag, str) or tag not in cls.KNOWN:
+            raise ValueError(f"tag: unknown catalog tag {tag!r}")
+        stray = sorted(params.keys() - set(cls.KNOWN[tag]))
+        if stray:
+            raise ValueError(f"params.{stray[0]}: not a parameter of {tag}")
+
+        def positive(v):
+            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+        for key in cls.KNOWN[tag]:
+            if key not in params:
+                raise ValueError(f"params.{key}: missing")
+            v = params[key]
+            if key == "sizes":
+                if not (isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(positive, v))):
+                    raise ValueError(
+                        f"params.{key}: expected a list of at least two positive "
+                        f"integers, got {v!r}"
+                    )
+            elif not positive(v):
+                raise ValueError(f"params.{key}: expected a positive integer, got {v!r}")
         return cls(tag, tuple(sorted(params.items())))
 
     def param(self, key):
@@ -80,8 +108,6 @@ def desk_model(spec: TheorySpec) -> FiniteStructure:
         return FiniteStructure.make(classes * size, relations={"E": (2, pairs)})
     if spec.tag == "nested_eq_rel":
         sizes = tuple(spec.param("sizes"))
-        if len(sizes) < 2:
-            raise ValueError("nested_eq_rel needs at least two level sizes")
         n = 1
         for s in sizes:
             n *= s

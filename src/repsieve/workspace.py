@@ -207,10 +207,13 @@ def _theory_doc(spec: TheorySpec) -> dict:
 
 def _theory_parse(doc, where: str) -> TheorySpec:
     _expect_keys(doc, where, {"tag", "params"}, set())
+    params = doc["params"]
+    if not isinstance(params, dict):
+        raise WorkspaceError(f"{where}.params: expected an object, got {type(params).__name__}")
     try:
-        return TheorySpec.make(doc["tag"], **{k: _frozen(v) for k, v in doc["params"].items()})
-    except (TypeError, ValueError) as exc:
-        raise WorkspaceError(f"{where}: {exc}") from exc
+        return TheorySpec.make(doc["tag"], **{k: _frozen(v) for k, v in params.items()})
+    except ValueError as exc:
+        raise WorkspaceError(f"{where}.{exc}") from exc
 
 
 def _plain(v):
@@ -288,6 +291,8 @@ def parse_workspace(text: str) -> Workspace:
     for name, sub in doc.get("representations", {}).items():
         where = f"representations.{name}"
         _expect_keys(sub, where, {"source", "target", "map"}, {"carrier", "enrichment"})
+        if not isinstance(sub["map"], list):
+            raise WorkspaceError(f"{where}: map is not a list")
         entry = RepresentationEntry(
             source=sub["source"],
             target=sub["target"],
@@ -308,7 +313,10 @@ def parse_workspace(text: str) -> Workspace:
             raise WorkspaceError(
                 f"{where}: map has {len(entry.map)} entries for a universe of {src.size}"
             )
-        bad = [x for x in entry.map if not (isinstance(x, int) and 0 <= x < tgt.size)]
+        bad = [
+            x for x in entry.map
+            if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < tgt.size)
+        ]
         if bad:
             raise WorkspaceError(f"{where}: image {bad[0]!r} outside the target universe")
         ws.representations[name] = entry

@@ -118,6 +118,36 @@ class TestBuilders:
         assert run_command(["build-ex2", path, "--theory", "lin"]) == 2
 
 
+class TestWorkspaceValidation:
+    @pytest.mark.parametrize(
+        "tag, params, field",
+        [
+            ("eq_rel", {"classes": 3}, "params.size"),
+            ("eq_rel", {"classes": "3", "size": 3}, "params.classes"),
+            ("eq_rel", {"classes": True, "size": 3}, "params.classes"),
+            ("eq_rel", {"classes": 0, "size": 3}, "params.classes"),
+            ("eq_rel", {"classes": 3, "size": 3, "n": 3}, "params.n"),
+            ("nested_eq_rel", {"sizes": [4]}, "params.sizes"),
+        ],
+        ids=["missing", "string", "bool", "zero", "stray", "one-level"],
+    )
+    def test_bad_catalog_params(self, tmp_path, capsys, tag, params, field):
+        path = tmp_path / "ws.json"
+        theory = {"tag": tag, "params": params}
+        path.write_text(json.dumps({"version": 1, "theories": {"t": theory}}))
+        assert run_command(["build-ex2", str(path), "--theory", "t"]) == 2
+        assert f"theories.t.{field}:" in capsys.readouterr().err
+
+    def test_bool_map_image(self, lin4_ws, capsys):
+        with open(lin4_ws) as fh:
+            doc = json.load(fh)
+        doc["representations"]["lin4.id"]["map"][1] = True
+        with open(lin4_ws, "w") as fh:
+            json.dump(doc, fh)
+        assert run_command(["check-representation", lin4_ws]) == 2
+        assert "representations.lin4.id: image True" in capsys.readouterr().err
+
+
 class TestSieve:
     def test_trace_artifact(self, ex2_ws, tmp_path):
         out = str(tmp_path / "trace.json")

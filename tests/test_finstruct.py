@@ -7,12 +7,12 @@ from conftest import eq3x3, eq_structure, linear
 from repsieve import (
     FiniteStructure,
     PartialAutomorphism,
-    partial_automorphisms,
     qf_closure,
     qf_type,
     type_equal,
 )
-from repsieve.finstruct import automorphism_extending
+from repsieve.finstruct import _all_extensions, automorphism_extending
+from test_orbits import SEEDS, random_structure
 
 
 def pointed() -> FiniteStructure:
@@ -48,6 +48,69 @@ class TestQfType:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             qf_type(eq3x3(), (9,))
+
+    def test_long_unary_chains(self):
+        # two disjoint chains 0 -> ... -> 9 and 10 -> ... -> 19: a head's
+        # closure has nine non-generator elements
+        succ = {(i,): i + 1 for i in range(20) if i not in (9, 19)}
+        s = FiniteStructure.make(20, functions={"F": (1, succ)})
+        head = qf_type(s, (0,))
+        assert head.closure_size == 10
+        assert head == qf_type(s, (10,))
+        assert head != qf_type(s, (1,))
+        assert qf_type(s, (0, 5)) == qf_type(s, (10, 15))
+        assert qf_type(s, (0, 5)) != qf_type(s, (10, 16))
+
+
+def brute_qf_key(s, t):
+    """Least serialisation of ``t``'s closure over every labelling of its
+    non-generator elements: the reference for ``qf_type`` equality."""
+    closure = qf_closure(s, t)
+    inside = set(closure)
+    gen_label = {}
+    for x in t:
+        gen_label.setdefault(x, len(gen_label))
+    free = [x for x in closure if x not in gen_label]
+    rel_atoms = [
+        (r.name, [tup for tup in r.tuples if all(e in inside for e in tup)]) for r in s.relations
+    ]
+    fn_atoms = [
+        (f.name, [(a, v) for a, v in f.graph if v in inside and all(x in inside for x in a)])
+        for f in s.functions
+    ]
+    best = None
+    for perm in itertools.permutations(free):
+        label = dict(gen_label)
+        label.update((x, len(gen_label) + i) for i, x in enumerate(perm))
+        rels = tuple(
+            (name, tuple(sorted(tuple(label[e] for e in tup) for tup in atoms)))
+            for name, atoms in rel_atoms
+        )
+        fns = tuple(
+            (name, tuple(sorted((tuple(label[a] for a in args), label[v]) for args, v in atoms)))
+            for name, atoms in fn_atoms
+        )
+        ser = (rels, fns)
+        if best is None or ser < best:
+            best = ser
+    return tuple(gen_label[x] for x in t), len(closure), best
+
+
+def partition(keys):
+    classes: dict = {}
+    for t, key in keys:
+        classes.setdefault(key, set()).add(t)
+    return sorted(sorted(c) for c in classes.values())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_qf_type_matches_brute_force_classes(seed):
+    s = random_structure(seed)
+    for length in range(1, 4):
+        tuples = list(itertools.product(range(s.size), repeat=length))
+        assert partition((t, qf_type(s, t)) for t in tuples) == partition(
+            (t, brute_qf_key(s, t)) for t in tuples
+        )
 
 
 class TestQfClosure:
@@ -106,6 +169,15 @@ class TestTypeEqual:
         assert sorted(auto.values()) == list(range(9))
 
 
+def partial_automorphisms(s, max_domain):
+    """Every partial automorphism with at most ``max_domain`` points, domains
+    by (size, lex) and maps by lex order of images."""
+    for k in range(max_domain + 1):
+        for dom in itertools.combinations(range(s.size), k):
+            for fwd in _all_extensions(s, dom):
+                yield PartialAutomorphism.from_dict(fwd)
+
+
 class TestPartialAutomorphisms:
     def test_two_points_no_relations(self):
         s = FiniteStructure.make(2)
@@ -119,17 +191,6 @@ class TestPartialAutomorphisms:
         assert ((0, 3), (1, 4)) in maps
         assert ((0, 3), (1, 5)) in maps
         assert ((0, 3), (1, 6)) not in maps  # 0E1 would need 3E6
-
-    def test_domain_closure_filter(self):
-        s = pointed()
-        pas = list(partial_automorphisms(s, 1, closure_fns=["F"]))
-        # {1} and {2} are not closed under F; {0} is
-        domains = {pa.domain for pa in pas}
-        assert domains == {frozenset(), frozenset({0})}
-
-    def test_unknown_closure_fn_rejected(self):
-        with pytest.raises(KeyError):
-            list(partial_automorphisms(pointed(), 1, closure_fns=["nope"]))
 
     def test_brute_force_agreement(self):
         s = pointed()

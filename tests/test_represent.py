@@ -63,11 +63,9 @@ class TestRepresentationMap:
         with pytest.raises(ValueError, match="not closed"):
             check_representation(r)
 
-    def test_fibers_and_describe(self):
+    def test_fibers(self):
         r = one_per_class_rep(False)
         assert r.fibers[r.f[1]] == (1, 2)
-        assert r.describe(0) == "x0"
-        assert r.describe(1) == "F(x0)"
 
 
 class TestCheckRepresentation:

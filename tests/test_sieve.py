@@ -13,7 +13,6 @@ from repsieve import (
     SieveBottleneck,
     Term,
     TermAlgebra,
-    indiscernibility_certificate,
     instability_probe,
     sieve,
     trivial_enrichment,
@@ -243,25 +242,6 @@ class TestVerifyIndiscernible:
         assert not verify_indiscernible(m, singles, {0, 1}, 2)
         assert not verify_indiscernible(m, singles, {0, 1}, 1)
         assert verify_indiscernible(m, singles, {1, 2}, 1, policy=("ef", 1))
-
-    def test_certificate_bundles_witnesses(self):
-        r = eq_partner_rep(4)
-        tuples = [(2 * i + 1,) for i in range(4)]
-        trace = sieve(r, tuples)
-        cert = indiscernibility_certificate(trace, 2)
-        assert cert.selected == trace.s3
-        assert cert.verified_length == 2
-        assert len(cert.witnesses) == 12
-        h = cert.witness_for(0, 1)
-        assert h.is_valid(r.target)
-
-    def test_certificate_refuses_non_indiscernible_survivors(self):
-        # identity on a linear order survives the sieve but is ordered
-        r = flat_rep(linear(4))
-        trace = sieve(r, [(i,) for i in range(4)])
-        with pytest.raises(ValueError, match="not indiscernible"):
-            indiscernibility_certificate(trace, 2)
-
 
 class TestProbe:
     def test_linear_order_refutes_identity(self):

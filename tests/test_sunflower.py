@@ -8,39 +8,9 @@ from repsieve import (
     DeltaSystemFailure,
     SunflowerCertificate,
     delta_system,
-    regressive_fiber,
     validate_sunflower,
 )
 from repsieve.sunflower import _equiv_partition
-
-
-class TestRegressiveFiber:
-    def test_constant_map_gets_whole_domain(self):
-        f = {i: 0 for i in range(1, 11)}
-        assert regressive_fiber(f) == (0, frozenset(range(1, 11)))
-
-    def test_predecessor_map_ties_break_low(self):
-        f = {i: i - 1 for i in range(1, 11)}
-        assert regressive_fiber(f) == (0, frozenset({1}))
-
-    def test_non_regressive_rejected(self):
-        with pytest.raises(ValueError, match="not regressive"):
-            regressive_fiber({3: 3})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            regressive_fiber({})
-
-    @given(st.dictionaries(st.integers(1, 12), st.integers(0, 11), min_size=1).map(
-        lambda d: {i: min(v, i - 1) for i, v in d.items()}
-    ))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force_max(self, f):
-        beta, fiber = regressive_fiber(f)
-        sizes = {v: sum(1 for i in f if f[i] == v) for v in set(f.values())}
-        assert len(fiber) == max(sizes.values())
-        assert all(sizes[v] < len(fiber) or beta <= v for v in sizes)
-        assert fiber == frozenset(i for i in f if f[i] == beta)
 
 
 class TestDeltaSystem:

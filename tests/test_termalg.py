@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from repsieve import AlgebraSignature, Term, TermAlgebra, build_terms
 from repsieve.finstruct import qf_closure
-from repsieve.termalg import subterms
 
 
 def sig(**arities):
@@ -35,13 +34,6 @@ class TestTerm:
             Term(sym=None, base=None)
         with pytest.raises(ValueError):
             Term(sym="f", base=0)
-
-    def test_subterms_preorder(self):
-        x = Term.of_base(0)
-        f = Term.app("F", (x,))
-        g = Term.app("g", (f, x))
-        assert list(subterms(g)) == [g, f, x, x]
-
 
 class TestBuildTerms:
     def test_single_nullary_no_base(self):
@@ -103,12 +95,6 @@ class TestTermAlgebra:
             x0,
         }
 
-    def test_closure_ids_matches_structure_closure(self):
-        ta = TermAlgebra.build(sig(g=2, c=0), 2, 2)
-        s = ta.as_structure
-        for i in range(0, len(ta), 7):
-            assert set(ta.closure_ids([i])) == set(qf_closure(s, [i]))
-
     def test_nullary_symbol_becomes_unary_relation(self):
         ta = TermAlgebra.build(sig(c=0), 0, 0)
         s = ta.as_structure
@@ -134,8 +120,11 @@ def test_term_tables_are_closed_and_bounded(signature, base_size, max_depth):
     table = set(ts)
     for t in ts:
         assert t.depth <= max_depth
-        for sub in subterms(t):
+        stack = [t]  # preorder walk over every subterm
+        while stack:
+            sub = stack.pop()
             assert sub in table
+            stack.extend(reversed(sub.args))
 
 
 @given(signatures(), st.integers(0, 2))

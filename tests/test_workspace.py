@@ -142,6 +142,13 @@ class TestDiagnostics:
         )
         parse_err(
             doc(
+                structures={"s": {"universe": 2}},
+                representations={"r": {"source": "s", "target": "s", "map": 2}},
+            ),
+            "representations.r: map is not a list",
+        )
+        parse_err(
+            doc(
                 structures={"s": {"universe": 1}},
                 representations={"r": {"source": "s", "target": "s", "map": [0],
                                        "carrier": "missing"}},
@@ -151,6 +158,7 @@ class TestDiagnostics:
 
     def test_theory_tag(self):
         parse_err(doc(theories={"t": {"tag": "dense", "params": {}}}), "theories.t")
+        parse_err(doc(theories={"t": {"tag": "eq_rel", "params": [3, 3]}}), "theories.t.params")
 
     def test_resolution_of_unknown_entry(self):
         ws = parse_workspace(doc())
