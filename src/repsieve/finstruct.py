@@ -655,3 +655,77 @@ def _all_extensions(s: FiniteStructure, domain: tuple) -> Iterator[dict]:
             del bwd[c]
 
     yield from rec(0, {}, {})
+
+
+def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iterator[tuple]:
+    """Every partial automorphism of ``s`` with closed range whose domain is
+    the closure of at most ``depth`` elements of ``pool``.
+
+    Yields ``(combo, domain, maps)`` for each combination of ``pool`` with 1
+    to ``depth`` elements, walked as a prefix tree (each size in
+    ``itertools.combinations`` order): ``domain`` lists the elements of
+    ``qf_closure(s, combo)`` and ``maps`` the maps on it, as dicts.  Such a
+    map is fixed by the images of ``combo``: every other element of the
+    domain is a function value of earlier ones, and its image can only be
+    the function applied to the mapped arguments.  So a node extends its
+    parent's maps by one generator and then places the values that
+    generator makes reachable.  A generator's candidate images are its
+    images under the maps of its own one-generator closure, because a map
+    with closed domain and range restricts to one on every closed subset of
+    its domain.  Every placed pair passes ``_delta_consistent``, so the maps
+    on each domain are those of ``_all_extensions`` whose range is closed."""
+    closure_size: dict = {}  # frozenset of generator images -> size of its closure
+
+    def closed(combo, domain, fwd) -> bool:
+        key = frozenset(fwd[g] for g in combo)
+        size = closure_size.get(key)
+        if size is None:
+            size = closure_size[key] = len(qf_closure(s, key))
+        return size == len(domain)  # the range lies inside that closure
+
+    def extend(combo, domain, maps, g, candidates):
+        if g in domain:
+            return domain, maps
+        placed = set(domain)
+        placed.add(g)
+        plan = []  # (value, function dict, args), arguments placed first
+        changed = True
+        while changed:
+            changed = False
+            for f in s.functions:
+                for args, v in f.graph:
+                    if v not in placed and all(a in placed for a in args):
+                        placed.add(v)
+                        plan.append((v, f.as_dict, args))
+                        changed = True
+        domain = domain + [g] + [v for v, _, _ in plan]
+        out = []
+        for fwd0, bwd0 in maps:
+            for c in candidates:
+                if c in bwd0 or not _delta_consistent(s, fwd0, bwd0, g, c):
+                    continue
+                fwd, bwd = dict(fwd0), dict(bwd0)
+                fwd[g], bwd[c] = c, g
+                for v, graph, args in plan:
+                    image = graph.get(tuple(fwd[a] for a in args))
+                    if image is None or image in bwd or not _delta_consistent(s, fwd, bwd, v, image):
+                        break
+                    fwd[v], bwd[image] = image, v
+                else:
+                    if closed(combo, domain, fwd):
+                        out.append((fwd, bwd))
+        return domain, out
+
+    pool = list(pool)
+    roots = [extend((g,), [], [({}, {})], g, range(s.size)) for g in pool]
+    candidates = [sorted({fwd[g] for fwd, _ in maps}) for g, (_, maps) in zip(pool, roots)]
+
+    def walk(i, combo, domain, maps):
+        yield combo, domain, [fwd for fwd, _ in maps]
+        if len(combo) < depth:
+            for j in range(i + 1, len(pool)):
+                sub = combo + (pool[j],)
+                yield from walk(j, sub, *extend(sub, domain, maps, pool[j], candidates[j]))
+
+    for i, g in enumerate(pool):
+        yield from walk(i, (g,), *roots[i])

@@ -27,7 +27,7 @@ from typing import Sequence
 from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
     FiniteStructure,
-    _all_extensions,
+    _generated_maps,
     qf_closure,
     qf_type,
     type_equal,
@@ -209,58 +209,61 @@ def check_by_partial_automorphisms(
     the two source tuples must be type-equal; otherwise the pair is
     reported.  ``max_domain`` must dominate every such closure size, else
     the search would be inconclusive and is rejected.
+
+    U is generated by those image elements, so a map on U is fixed by
+    their images: ``_generated_maps`` chooses images for generators only
+    and derives the rest.  A map on a larger domain that matches two
+    tuples restricts to one on the closure of the first tuple's image
+    set, so each source tuple is compared only there, against each map
+    once.  ``checked`` still counts, over every distinct U and map, each
+    source tuple inside U times each preimage of its mapped image: with
+    ``w`` the sum over U of ``|fiber(y)| * |fiber(map(y))|``, that is
+    ``w + w**2 + ... + w**L`` at length bound L.
     """
     _validated(r)
     _reject_degenerate(r.source, policy)
     rng = sorted(set(r.f))
-    domains = {}
-    for k in range(1, policy.max_tuple_len + 1):
-        for combo in itertools.combinations(rng, k):
-            u = tuple(sorted(qf_closure(r.target, combo)))
-            domains[u] = None
-    biggest = max((len(u) for u in domains), default=0)
+    biggest = max(
+        (
+            len(qf_closure(r.target, combo))
+            for k in range(1, policy.max_tuple_len + 1)
+            for combo in itertools.combinations(rng, k)
+        ),
+        default=0,
+    )
     if biggest > max_domain:
         raise ValueError(
             f"max_domain={max_domain} is below the largest image closure ({biggest}); "
             "the search would be inconclusive"
         )
-    # precompute image data for all source tuples up to the bound
-    tuples_by_len = {
-        length: list(itertools.product(range(r.source.size), repeat=length))
-        for length in range(1, policy.max_tuple_len + 1)
-    }
-    images = {
-        length: [(t, r.image(t), frozenset(r.image(t))) for t in tuples_by_len[length]]
-        for length in tuples_by_len
-    }
-    if policy.delta == "orbit":
-        for length in tuples_by_len:
+    # each source tuple, grouped by the sorted set of its image's elements
+    by_generators: dict = {}
+    for length in range(1, policy.max_tuple_len + 1):
+        for t in itertools.product(range(r.source.size), repeat=length):
+            img = r.image(t)
+            by_generators.setdefault(tuple(sorted(set(img))), []).append((t, img))
+        if policy.delta == "orbit":
             r.source.orbits.build_table(length)
+    fiber_size = [len(r.fibers.get(y, ())) for y in range(r.target.size)]
 
     entries = []
     checked = 0
-    seen_pairs = set()
-    for u in sorted(domains, key=lambda d: (len(d), d)):
-        uset = set(u)
-        relevant = [
-            (t, img)
-            for length in images
-            for (t, img, imgset) in images[length]
-            if imgset <= uset
-        ]
-        for fwd in _all_extensions(r.target, u):
-            img_range = set(fwd.values())
-            if set(qf_closure(r.target, sorted(img_range))) != img_range:
-                continue  # range must be closed too, or qf-equality may fail
-            for t, img in relevant:
+    counted = set()
+    for combo, u, maps in _generated_maps(r.target, rng, policy.max_tuple_len):
+        key = frozenset(u)
+        if key not in counted:
+            counted.add(key)
+            for fwd in maps:
+                w = sum(fiber_size[y] * fiber_size[fwd[y]] for y in u)
+                checked += sum(w**length for length in range(1, policy.max_tuple_len + 1))
+        for t, img in by_generators.get(combo, ()):
+            for fwd in maps:
                 mapped = tuple(fwd[y] for y in img)
                 fiber_sets = [r.fibers.get(y) for y in mapped]
                 if any(fs is None for fs in fiber_sets):
                     continue
                 for b in itertools.product(*fiber_sets):
-                    checked += 1
-                    if not type_equal(r.source, t, b, policy.delta) and (t, b) not in seen_pairs:
-                        seen_pairs.add((t, b))
+                    if not type_equal(r.source, t, b, policy.delta):
                         entries.append(
                             ViolationEntry(
                                 a=t,

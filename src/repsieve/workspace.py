@@ -133,23 +133,29 @@ def _structure_doc(s: FiniteStructure) -> dict:
 def _structure_parse(doc, where: str) -> FiniteStructure:
     _expect_keys(doc, where, {"universe"}, {"relations", "functions"})
     relations = {}
-    for i, rel in enumerate(doc.get("relations", [])):
+    for i, rel in enumerate(_list(doc.get("relations", []), f"{where}.relations")):
         here = f"{where}.relations[{i}]"
         _expect_keys(rel, here, {"name", "arity", "tuples"}, set())
-        relations[rel["name"]] = (rel["arity"], [tuple(t) for t in rel["tuples"]])
+        tuples = _list(rel["tuples"], f"{here}.tuples")
+        relations[_str(rel["name"], f"{here}.name")] = (
+            _int(rel["arity"], f"{here}.arity"),
+            [_ints(t, f"{here}.tuples[{j}]") for j, t in enumerate(tuples)],
+        )
     functions = {}
-    for i, fn in enumerate(doc.get("functions", [])):
+    for i, fn in enumerate(_list(doc.get("functions", []), f"{where}.functions")):
         here = f"{where}.functions[{i}]"
         _expect_keys(fn, here, {"name", "arity", "graph"}, set())
-        arity = fn["arity"]
+        arity = _int(fn["arity"], f"{here}.arity")
         graph = {}
-        for row in fn["graph"]:
+        for j, row in enumerate(_list(fn["graph"], f"{here}.graph")):
+            row = _ints(row, f"{here}.graph[{j}]")
             if len(row) != arity + 1:
-                raise WorkspaceError(f"{here}: graph row {row} does not fit arity {arity}")
-            graph[tuple(row[:arity])] = row[arity]
-        functions[fn["name"]] = (arity, graph)
+                raise WorkspaceError(f"{here}: graph row {list(row)} does not fit arity {arity}")
+            graph[row[:arity]] = row[arity]
+        functions[_str(fn["name"], f"{here}.name")] = (arity, graph)
+    universe = _int(doc["universe"], f"{where}.universe")
     try:
-        return FiniteStructure.make(doc["universe"], relations=relations, functions=functions)
+        return FiniteStructure.make(universe, relations=relations, functions=functions)
     except (TypeError, ValueError) as exc:
         raise WorkspaceError(f"{where}: {exc}") from exc
 
@@ -167,16 +173,26 @@ def _enrichment_doc(e: Enrichment) -> dict:
 
 def _enrichment_parse(doc, where: str) -> Enrichment:
     _expect_keys(doc, where, {"carrier", "levels", "unary_fns"}, set())
-    elems = [x for level in doc["levels"] for x in level]
-    if sorted(elems) != list(range(doc["carrier"])):
-        raise WorkspaceError(f"{where}: levels do not partition 0..{doc['carrier'] - 1}")
+    carrier = _int(doc["carrier"], f"{where}.carrier")
+    levels = [
+        _ints(level, f"{where}.levels[{i}]")
+        for i, level in enumerate(_list(doc["levels"], f"{where}.levels"))
+    ]
+    if sorted(x for level in levels for x in level) != list(range(carrier)):
+        raise WorkspaceError(f"{where}: levels do not partition 0..{carrier - 1}")
     functions = {}
-    for i, fn in enumerate(doc["unary_fns"]):
+    for i, fn in enumerate(_list(doc["unary_fns"], f"{where}.unary_fns")):
         here = f"{where}.unary_fns[{i}]"
         _expect_keys(fn, here, {"name", "graph"}, set())
-        functions[fn["name"]] = {row[0]: row[1] for row in fn["graph"]}
+        graph = {}
+        for j, row in enumerate(_list(fn["graph"], f"{here}.graph")):
+            row = _ints(row, f"{here}.graph[{j}]")
+            if len(row) != 2:
+                raise WorkspaceError(f"{here}.graph[{j}]: expected [argument, value], got {list(row)}")
+            graph[row[0]] = row[1]
+        functions[_str(fn["name"], f"{here}.name")] = graph
     try:
-        return Enrichment.make(doc["levels"], functions)
+        return Enrichment.make(levels, functions)
     except (TypeError, ValueError) as exc:
         raise WorkspaceError(f"{where}: {exc}") from exc
 
@@ -192,11 +208,14 @@ def _signature_doc(ta: TermAlgebra) -> dict:
 def _signature_parse(doc, where: str) -> TermAlgebra:
     _expect_keys(doc, where, {"symbols", "base", "depth"}, set())
     arities = {}
-    for i, sym in enumerate(doc["symbols"]):
-        _expect_keys(sym, f"{where}.symbols[{i}]", {"name", "arity"}, set())
-        arities[sym["name"]] = sym["arity"]
+    for i, sym in enumerate(_list(doc["symbols"], f"{where}.symbols")):
+        here = f"{where}.symbols[{i}]"
+        _expect_keys(sym, here, {"name", "arity"}, set())
+        arities[_str(sym["name"], f"{here}.name")] = _int(sym["arity"], f"{here}.arity")
+    base = _int(doc["base"], f"{where}.base")
+    depth = _int(doc["depth"], f"{where}.depth")
     try:
-        return TermAlgebra.build(AlgebraSignature.make(arities), doc["base"], doc["depth"])
+        return TermAlgebra.build(AlgebraSignature.make(arities), base, depth)
     except (TypeError, ValueError) as exc:
         raise WorkspaceError(f"{where}: {exc}") from exc
 
@@ -226,6 +245,29 @@ def _frozen(v):
     if isinstance(v, list):
         return tuple(_frozen(x) for x in v)
     return v
+
+
+def _int(value, where: str) -> int:
+    # bool is a subclass of int, but JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WorkspaceError(f"{where}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise WorkspaceError(f"{where}: expected a string, got {json.dumps(value)}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise WorkspaceError(f"{where}: expected a list, got {json.dumps(value)}")
+    return value
+
+
+def _ints(value, where: str) -> tuple:
+    return tuple(_int(x, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
 
 
 def _expect_keys(doc, where: str, required: set, optional: set):

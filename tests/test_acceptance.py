@@ -261,6 +261,21 @@ def test_both_checkers_agree_on_all_built_representations():
     )
 
 
+def test_checkers_agree_on_a_larger_model():
+    spec = TheorySpec.make("eq_rel", classes=4, size=3)
+    r = term_rep(spec)
+    t0 = time.perf_counter()
+    by_maps = check_by_partial_automorphisms(r, LEN3)
+    direct = check_representation(r, LEN3)
+    dt = time.perf_counter() - t0
+    assert by_maps.empty and direct.empty
+    assert dt < 30.0, dt
+    print(
+        f"PASS larger-model agreement: eq 4x3 ex2 clean under both checkers at "
+        f"tuple length 3 ({by_maps.checked} map-matched pairs), {dt:.2f}s of a 30s budget"
+    )
+
+
 def test_oracle_symmetry_and_invariance_laws():
     # exchange: two elements each free from the other over its own base have
     # uniqueness over the enlarged domain together or not at all

@@ -147,6 +147,31 @@ class TestWorkspaceValidation:
         assert run_command(["check-representation", lin4_ws]) == 2
         assert "representations.lin4.id: image True" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (["universe"], True, "universe"),
+            (["relations", 0, "arity"], True, "relations[0].arity"),
+            (["relations", 0, "tuples", 0, 1], True, "relations[0].tuples[0][1]"),
+            (["relations", 0, "tuples", 0], 5, "relations[0].tuples[0]"),
+            (["functions"], [{"name": "g", "arity": 1, "graph": [7]}], "functions[0].graph[0]"),
+        ],
+        ids=["bool-universe", "bool-arity", "bool-element", "int-tuple", "int-graph-row"],
+    )
+    def test_bad_structure_field(self, lin4_ws, capsys, path, value, field):
+        with open(lin4_ws) as fh:
+            doc = json.load(fh)
+        node = doc["structures"]["lin4.id.source"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with open(lin4_ws, "w") as fh:
+            json.dump(doc, fh)
+        assert run_command(["check-representation", lin4_ws]) == 2
+        err = capsys.readouterr().err
+        assert f"structures.lin4.id.source.{field}: expected" in err
+        assert "Traceback" not in err
+
 
 class TestSieve:
     def test_trace_artifact(self, ex2_ws, tmp_path):
