@@ -170,26 +170,28 @@ class QfType:
         return f"QfType(gen={self.generators}, closure={self.closure_size}, key_hash={hash(self.key) & 0xFFFFFF:06x})"
 
 
-def qf_closure(s: FiniteStructure, elems: Iterable[int], fn_names=None) -> list:
-    """Closure of ``elems`` under the structure's partial functions, as a list
-    in deterministic discovery order (input order, then function/graph order,
-    iterated to a fixpoint).  ``fn_names`` restricts to a subset of functions."""
-    order = []
-    seen = set()
-    for e in elems:
-        if e not in seen:
-            seen.add(e)
-            order.append(e)
-    fns = s.functions if fn_names is None else tuple(s.function(n) for n in fn_names)
+def _closure_steps(s: FiniteStructure, closed: set) -> Iterator[tuple]:
+    """Close ``closed`` in place under the structure's partial functions and
+    yield each element it gains as ``(value, function, args)``, in discovery
+    order: rounds to a fixpoint, functions in structure order, each graph
+    in its sorted order."""
     changed = True
     while changed:
         changed = False
-        for fn in fns:
+        for fn in s.functions:
             for args, val in fn.graph:
-                if val not in seen and all(a in seen for a in args):
-                    seen.add(val)
-                    order.append(val)
+                if val not in closed and all(a in closed for a in args):
+                    closed.add(val)
                     changed = True
+                    yield val, fn, args
+
+
+def qf_closure(s: FiniteStructure, elems: Iterable[int]) -> list:
+    """Closure of ``elems`` under the structure's partial functions, as a list
+    in deterministic discovery order: input order, then the order of
+    ``_closure_steps``."""
+    order = list(dict.fromkeys(elems))
+    order += [v for v, _, _ in _closure_steps(s, set(order))]
     return order
 
 
@@ -243,15 +245,18 @@ def qf_type(s: FiniteStructure, t: Sequence[int]) -> QfType:
 
 
 def _delta_consistent(s: FiniteStructure, fwd: dict, bwd: dict, x: int, c: int) -> bool:
+    # one pass per side: an atom with an unassigned element maps to None
     atoms, incidence = s._atom_index
+    get = fwd.get
     for name, elems in incidence[x]:
-        if all(e == x or e in fwd for e in elems):
-            if (name, tuple(c if e == x else fwd[e] for e in elems)) not in atoms:
-                return False
+        image = [c if e == x else get(e) for e in elems]
+        if None not in image and (name, tuple(image)) not in atoms:
+            return False
+    get = bwd.get
     for name, elems in incidence[c]:
-        if all(e == c or e in bwd for e in elems):
-            if (name, tuple(x if e == c else bwd[e] for e in elems)) not in atoms:
-                return False
+        image = [x if e == c else get(e) for e in elems]
+        if None not in image and (name, tuple(image)) not in atoms:
+            return False
     return True
 
 
@@ -686,18 +691,8 @@ def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iter
     def extend(combo, domain, maps, g, candidates):
         if g in domain:
             return domain, maps
-        placed = set(domain)
-        placed.add(g)
-        plan = []  # (value, function dict, args), arguments placed first
-        changed = True
-        while changed:
-            changed = False
-            for f in s.functions:
-                for args, v in f.graph:
-                    if v not in placed and all(a in placed for a in args):
-                        placed.add(v)
-                        plan.append((v, f.as_dict, args))
-                        changed = True
+        # (value, function dict, args), arguments placed first
+        plan = [(v, f.as_dict, args) for v, f, args in _closure_steps(s, {*domain, g})]
         domain = domain + [g] + [v for v, _, _ in plan]
         out = []
         for fwd0, bwd0 in maps:

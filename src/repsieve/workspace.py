@@ -32,6 +32,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+_SECTIONS = ("structures", "enrichments", "signatures", "representations", "theories")
+
 
 class WorkspaceError(ValueError):
     """Malformed document; the message names the offending field."""
@@ -39,18 +41,41 @@ class WorkspaceError(ValueError):
 
 @dataclass(frozen=True)
 class RepresentationEntry:
-    """A representation stored by reference into the named sections."""
+    """A representation stored by reference into the named sections.
+
+    Its target is either the named structure ``target`` or, when a
+    ``carrier`` or an ``enrichment`` is named, rebuilt from them on every
+    resolution; an entry names one or the other, never both."""
 
     source: str
-    target: str
     map: tuple
+    target: str = None
     carrier: str = None
     enrichment: str = None
+
+    def __post_init__(self):
+        derived = self.carrier is not None or self.enrichment is not None
+        if self.target is not None and derived:
+            raise WorkspaceError(
+                "target: not allowed beside a carrier or an enrichment, which "
+                "determine the target; rebuild the workspace with build-ex1 or build-ex2"
+            )
+        if self.target is None and not derived:
+            raise WorkspaceError("target: missing, and no carrier or enrichment to derive it from")
+
+
+def _derived_target(carrier: TermAlgebra, enrichment: Enrichment) -> FiniteStructure:
+    """The enrichment applied to the carrier's structure, or to a bare
+    universe of the enrichment's size when there is no carrier."""
+    if carrier is not None:
+        base = carrier.as_structure
+    else:
+        base = FiniteStructure.make(sum(map(len, enrichment.levels)))
+    return base if enrichment is None else enrichment.apply(base)
 
 
 @dataclass
 class Workspace:
-    version: int = SCHEMA_VERSION
     structures: dict = field(default_factory=dict)
     enrichments: dict = field(default_factory=dict)
     signatures: dict = field(default_factory=dict)  # name -> TermAlgebra
@@ -58,40 +83,58 @@ class Workspace:
     theories: dict = field(default_factory=dict)  # name -> TheorySpec
 
     def representation(self, name: str) -> RepresentationMap:
-        """Resolve a stored entry into a live representation map."""
-        if name not in self.representations:
-            raise WorkspaceError(f"representations.{name}: no such entry")
-        e = self.representations[name]
-        for section, ref in (("structures", e.source), ("structures", e.target)):
-            if ref not in getattr(self, section):
-                raise WorkspaceError(f"representations.{name}: unresolved reference {ref!r}")
-        carrier = None
-        if e.carrier is not None:
-            if e.carrier not in self.signatures:
-                raise WorkspaceError(
-                    f"representations.{name}: unresolved signature {e.carrier!r}"
-                )
-            carrier = self.signatures[e.carrier]
-        enrichment = None
-        if e.enrichment is not None:
-            if e.enrichment not in self.enrichments:
-                raise WorkspaceError(
-                    f"representations.{name}: unresolved enrichment {e.enrichment!r}"
-                )
-            enrichment = self.enrichments[e.enrichment]
+        """Resolve a stored entry into a live representation map.  Every
+        reference, the derived target and the map are checked here."""
+        where = f"representations.{name}"
+        e = self.representations.get(name)
+        if e is None:
+            raise WorkspaceError(f"{where}: no such entry")
+
+        def resolve(section: str, kind: str, ref):
+            table = getattr(self, section)
+            if ref is not None and ref not in table:
+                raise WorkspaceError(f"{where}: unresolved {kind} {ref!r}")
+            return table.get(ref)
+
+        source = resolve("structures", "reference", e.source)
+        carrier = resolve("signatures", "signature", e.carrier)
+        enrichment = resolve("enrichments", "enrichment", e.enrichment)
+        if e.target is not None:
+            target = resolve("structures", "reference", e.target)
+        else:
+            try:
+                target = _derived_target(carrier, enrichment)
+            except ValueError as exc:
+                raise WorkspaceError(f"{where}: {exc}") from exc
+        if len(e.map) != source.size:
+            raise WorkspaceError(
+                f"{where}: map has {len(e.map)} entries for a universe of {source.size}"
+            )
+        bad = [
+            x for x in e.map
+            if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < target.size)
+        ]
+        if bad:
+            raise WorkspaceError(f"{where}: image {bad[0]!r} outside the target universe")
         return RepresentationMap.make(
-            self.structures[e.source],
-            self.structures[e.target],
-            list(e.map),
-            carrier=carrier,
-            enrichment=enrichment,
+            source, target, list(e.map), carrier=carrier, enrichment=enrichment
         )
 
     def add_representation(self, name: str, r: RepresentationMap) -> str:
-        """Store a live representation map and everything it references."""
+        """Store a live representation map and everything it references.  A
+        map with a carrier or an enrichment stores them in place of its
+        target, so its target must be the one they derive."""
+        derived = r.carrier is not None or r.enrichment is not None
+        if derived and _derived_target(r.carrier, r.enrichment) != r.target:
+            raise ValueError(
+                f"representations.{name}: the target is not the one its carrier "
+                "and enrichment derive"
+            )
         self.structures[f"{name}.source"] = r.source
-        self.structures[f"{name}.target"] = r.target
-        carrier = enrichment = None
+        target = carrier = enrichment = None
+        if not derived:
+            target = f"{name}.target"
+            self.structures[target] = r.target
         if r.carrier is not None:
             carrier = f"{name}.carrier"
             self.signatures[carrier] = r.carrier
@@ -100,8 +143,8 @@ class Workspace:
             self.enrichments[enrichment] = r.enrichment
         self.representations[name] = RepresentationEntry(
             source=f"{name}.source",
-            target=f"{name}.target",
             map=tuple(r.f),
+            target=target,
             carrier=carrier,
             enrichment=enrichment,
         )
@@ -138,14 +181,14 @@ def _structure_parse(doc, where: str) -> FiniteStructure:
         _expect_keys(rel, here, {"name", "arity", "tuples"}, set())
         tuples = _list(rel["tuples"], f"{here}.tuples")
         relations[_str(rel["name"], f"{here}.name")] = (
-            _int(rel["arity"], f"{here}.arity"),
+            _arity(rel["arity"], f"{here}.arity"),
             [_ints(t, f"{here}.tuples[{j}]") for j, t in enumerate(tuples)],
         )
     functions = {}
     for i, fn in enumerate(_list(doc.get("functions", []), f"{where}.functions")):
         here = f"{where}.functions[{i}]"
         _expect_keys(fn, here, {"name", "arity", "graph"}, set())
-        arity = _int(fn["arity"], f"{here}.arity")
+        arity = _arity(fn["arity"], f"{here}.arity")
         graph = {}
         for j, row in enumerate(_list(fn["graph"], f"{here}.graph")):
             row = _ints(row, f"{here}.graph[{j}]")
@@ -162,7 +205,6 @@ def _structure_parse(doc, where: str) -> FiniteStructure:
 
 def _enrichment_doc(e: Enrichment) -> dict:
     return {
-        "carrier": sum(len(level) for level in e.levels),
         "levels": [sorted(level) for level in e.levels],
         "unary_fns": [
             {"name": f.name, "graph": [[a, v] for (a,), v in f.graph]}
@@ -172,14 +214,14 @@ def _enrichment_doc(e: Enrichment) -> dict:
 
 
 def _enrichment_parse(doc, where: str) -> Enrichment:
-    _expect_keys(doc, where, {"carrier", "levels", "unary_fns"}, set())
-    carrier = _int(doc["carrier"], f"{where}.carrier")
+    _expect_keys(doc, where, {"levels", "unary_fns"}, set())
     levels = [
         _ints(level, f"{where}.levels[{i}]")
         for i, level in enumerate(_list(doc["levels"], f"{where}.levels"))
     ]
-    if sorted(x for level in levels for x in level) != list(range(carrier)):
-        raise WorkspaceError(f"{where}: levels do not partition 0..{carrier - 1}")
+    members = sorted(x for level in levels for x in level)
+    if members != list(range(len(members))):
+        raise WorkspaceError(f"{where}: levels do not partition 0..{len(members) - 1}")
     functions = {}
     for i, fn in enumerate(_list(doc["unary_fns"], f"{where}.unary_fns")):
         here = f"{where}.unary_fns[{i}]"
@@ -235,6 +277,21 @@ def _theory_parse(doc, where: str) -> TheorySpec:
         raise WorkspaceError(f"{where}.{exc}") from exc
 
 
+def _entry_parse(doc, where: str) -> RepresentationEntry:
+    _expect_keys(doc, where, {"source", "map"}, {"target", "carrier", "enrichment"})
+    if not isinstance(doc["map"], list):
+        raise WorkspaceError(f"{where}: map is not a list")
+    refs = {
+        key: _str(doc[key], f"{where}.{key}")
+        for key in ("source", "target", "carrier", "enrichment")
+        if key in doc
+    }
+    try:
+        return RepresentationEntry(map=tuple(doc["map"]), **refs)
+    except WorkspaceError as exc:
+        raise WorkspaceError(f"{where}.{exc}") from exc
+
+
 def _plain(v):
     if isinstance(v, tuple):
         return [_plain(x) for x in v]
@@ -254,6 +311,12 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _arity(value, where: str) -> int:
+    if _int(value, where) < 0:
+        raise WorkspaceError(f"{where}: expected a non-negative integer, got {value}")
+    return value
+
+
 def _str(value, where: str) -> str:
     if not isinstance(value, str):
         raise WorkspaceError(f"{where}: expected a string, got {json.dumps(value)}")
@@ -270,9 +333,14 @@ def _ints(value, where: str) -> tuple:
     return tuple(_int(x, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise WorkspaceError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _expect_keys(doc, where: str, required: set, optional: set):
-    if not isinstance(doc, dict):
-        raise WorkspaceError(f"{where}: expected an object, got {type(doc).__name__}")
+    _object(doc, where)
     missing = required - doc.keys()
     if missing:
         raise WorkspaceError(f"{where}: missing field {sorted(missing)[0]!r}")
@@ -283,7 +351,7 @@ def _expect_keys(doc, where: str, required: set, optional: set):
 
 def render_workspace(ws: Workspace) -> str:
     doc = {
-        "version": ws.version,
+        "version": SCHEMA_VERSION,
         "structures": {
             name: _structure_doc(s) for name, s in sorted(ws.structures.items())
         },
@@ -295,11 +363,15 @@ def render_workspace(ws: Workspace) -> str:
         },
         "representations": {
             name: {
-                "source": e.source,
-                "target": e.target,
-                "map": list(e.map),
-                **({"carrier": e.carrier} if e.carrier is not None else {}),
-                **({"enrichment": e.enrichment} if e.enrichment is not None else {}),
+                key: value
+                for key, value in (
+                    ("source", e.source),
+                    ("target", e.target),
+                    ("map", list(e.map)),
+                    ("carrier", e.carrier),
+                    ("enrichment", e.enrichment),
+                )
+                if value is not None
             }
             for name, e in sorted(ws.representations.items())
         },
@@ -313,56 +385,26 @@ def parse_workspace(text: str) -> Workspace:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    _expect_keys(
-        doc,
-        "document",
-        {"version"},
-        {"structures", "enrichments", "signatures", "representations", "theories"},
-    )
-    if doc["version"] != SCHEMA_VERSION:
+    _expect_keys(doc, "document", {"version"}, set(_SECTIONS))
+    if _int(doc["version"], "version") != SCHEMA_VERSION:
         raise WorkspaceError(
             f"version: expected {SCHEMA_VERSION}, got {doc['version']!r}"
         )
-    ws = Workspace(version=doc["version"])
-    for name, sub in doc.get("structures", {}).items():
+    sections = {key: _object(doc.get(key, {}), key) for key in _SECTIONS}
+    ws = Workspace()
+    # entries first: an entry of an older shape is reported as such, before
+    # the sections it references
+    for name, sub in sections["representations"].items():
+        ws.representations[name] = _entry_parse(sub, f"representations.{name}")
+    for name, sub in sections["structures"].items():
         ws.structures[name] = _structure_parse(sub, f"structures.{name}")
-    for name, sub in doc.get("enrichments", {}).items():
+    for name, sub in sections["enrichments"].items():
         ws.enrichments[name] = _enrichment_parse(sub, f"enrichments.{name}")
-    for name, sub in doc.get("signatures", {}).items():
+    for name, sub in sections["signatures"].items():
         ws.signatures[name] = _signature_parse(sub, f"signatures.{name}")
-    for name, sub in doc.get("representations", {}).items():
-        where = f"representations.{name}"
-        _expect_keys(sub, where, {"source", "target", "map"}, {"carrier", "enrichment"})
-        if not isinstance(sub["map"], list):
-            raise WorkspaceError(f"{where}: map is not a list")
-        entry = RepresentationEntry(
-            source=sub["source"],
-            target=sub["target"],
-            map=tuple(sub["map"]),
-            carrier=sub.get("carrier"),
-            enrichment=sub.get("enrichment"),
-        )
-        for section, ref in (("structures", entry.source), ("structures", entry.target)):
-            if ref not in doc.get(section, {}):
-                raise WorkspaceError(f"{where}: unresolved reference {ref!r}")
-        if entry.carrier is not None and entry.carrier not in doc.get("signatures", {}):
-            raise WorkspaceError(f"{where}: unresolved signature {entry.carrier!r}")
-        if entry.enrichment is not None and entry.enrichment not in doc.get("enrichments", {}):
-            raise WorkspaceError(f"{where}: unresolved enrichment {entry.enrichment!r}")
-        src = ws.structures[entry.source]
-        tgt = ws.structures[entry.target]
-        if len(entry.map) != src.size:
-            raise WorkspaceError(
-                f"{where}: map has {len(entry.map)} entries for a universe of {src.size}"
-            )
-        bad = [
-            x for x in entry.map
-            if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < tgt.size)
-        ]
-        if bad:
-            raise WorkspaceError(f"{where}: image {bad[0]!r} outside the target universe")
-        ws.representations[name] = entry
-    for name, sub in doc.get("theories", {}).items():
+    for name in ws.representations:
+        ws.representation(name)
+    for name, sub in sections["theories"].items():
         ws.theories[name] = _theory_parse(sub, f"theories.{name}")
     return ws
 

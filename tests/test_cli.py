@@ -104,6 +104,18 @@ class TestBuilders:
     def test_build_ex2_workspace_composes(self, ex2_ws):
         assert run_command(["sieve", ex2_ws, "--tuples", "[[0],[1],[2]]"]) == 0
 
+    def test_built_workspaces_store_no_derived_data(self, theories_ws, ex2_ws, tmp_path):
+        ex1_ws = str(tmp_path / "ex1.json")
+        assert run_command(["build-ex1", theories_ws, "--theory", "eq3x3",
+                            "--out", ex1_ws]) == 0
+        for path in (ex1_ws, ex2_ws):
+            with open(path) as fh:
+                doc = json.load(fh)
+            (name,) = doc["representations"]
+            assert list(doc["structures"]) == [f"{name}.source"]
+            assert "target" not in doc["representations"][name]
+            assert all("carrier" not in e for e in doc["enrichments"].values())
+
     def test_build_ex1_checks_clean(self, theories_ws, tmp_path):
         out = str(tmp_path / "ex1.json")
         assert run_command(["build-ex1", theories_ws, "--theory", "eq3x3",
@@ -128,8 +140,9 @@ class TestWorkspaceValidation:
             ("eq_rel", {"classes": 0, "size": 3}, "params.classes"),
             ("eq_rel", {"classes": 3, "size": 3, "n": 3}, "params.n"),
             ("nested_eq_rel", {"sizes": [4]}, "params.sizes"),
+            ("eq_rel", {"classes": 1000, "size": 3}, "params"),
         ],
-        ids=["missing", "string", "bool", "zero", "stray", "one-level"],
+        ids=["missing", "string", "bool", "zero", "stray", "one-level", "too-large"],
     )
     def test_bad_catalog_params(self, tmp_path, capsys, tag, params, field):
         path = tmp_path / "ws.json"
@@ -137,6 +150,31 @@ class TestWorkspaceValidation:
         path.write_text(json.dumps({"version": 1, "theories": {"t": theory}}))
         assert run_command(["build-ex2", str(path), "--theory", "t"]) == 2
         assert f"theories.t.{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rep, enr: rep.update(target=rep["source"]),
+             "representations.eq3x3.ex2.target: not allowed beside a carrier"),
+            (lambda rep, enr: enr["levels"][0].pop(),
+             "representations.eq3x3.ex2: invalid enrichment: elements without a level"),
+            (lambda rep, enr: enr["levels"][0].append(len(enr["levels"][0])),
+             "representations.eq3x3.ex2: invalid enrichment: level 0: element"),
+            (lambda rep, enr: enr["unary_fns"].append({"name": "sub:F[t1,0]:0", "graph": []}),
+             "representations.eq3x3.ex2: invalid enrichment: function sub:F[t1,0]:0: name already used"),
+        ],
+        ids=["stored-target", "enrichment-smaller", "enrichment-larger", "symbol-clash"],
+    )
+    def test_bad_enriched_entry(self, ex2_ws, capsys, edit, message):
+        with open(ex2_ws) as fh:
+            doc = json.load(fh)
+        edit(doc["representations"]["eq3x3.ex2"], doc["enrichments"]["eq3x3.ex2.enrichment"])
+        with open(ex2_ws, "w") as fh:
+            json.dump(doc, fh)
+        assert run_command(["check-representation", ex2_ws]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_bool_map_image(self, lin4_ws, capsys):
         with open(lin4_ws) as fh:
@@ -155,8 +193,10 @@ class TestWorkspaceValidation:
             (["relations", 0, "tuples", 0, 1], True, "relations[0].tuples[0][1]"),
             (["relations", 0, "tuples", 0], 5, "relations[0].tuples[0]"),
             (["functions"], [{"name": "g", "arity": 1, "graph": [7]}], "functions[0].graph[0]"),
+            (["functions"], [{"name": "g", "arity": -1, "graph": [[]]}], "functions[0].arity"),
         ],
-        ids=["bool-universe", "bool-arity", "bool-element", "int-tuple", "int-graph-row"],
+        ids=["bool-universe", "bool-arity", "bool-element", "int-tuple", "int-graph-row",
+             "negative-arity"],
     )
     def test_bad_structure_field(self, lin4_ws, capsys, path, value, field):
         with open(lin4_ws) as fh:

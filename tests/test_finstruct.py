@@ -120,11 +120,6 @@ class TestQfClosure:
         assert cl == [1, 0]
         assert qf_closure(s, cl) == cl
 
-    def test_restricted_functions(self):
-        s = pointed()
-        assert qf_closure(s, [1], fn_names=[]) == [1]
-        assert qf_closure(s, [1], fn_names=["F"]) == [1, 0]
-
     def test_deduplicates_preserving_order(self):
         s = pointed()
         assert qf_closure(s, [2, 1, 2]) == [2, 1, 0]

@@ -1,0 +1,83 @@
+"""Exit-code contract under mutated workspace documents.
+
+Built eq 2x2 ex1 and ex2 workspaces get one mutation each: a key or list
+entry is deleted, or a value (possibly a new ``target`` beside an
+enriched entry's carrier and enrichment) is replaced by a JSON value of
+the wrong kind.  Every command must then exit 0, 1 or 2 without a
+traceback, and exit 1 only with a rendered report.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repsieve.cli import parse_report, run_command
+
+VALUES = [True, -1, "x", [], {}]
+COMMANDS = ["check-representation", "check-fact14", "sieve"]
+
+
+def paths(node, prefix=()):
+    """Every key and list position inside ``node``, as a path from its root."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    theories = root / "theories.json"
+    theories.write_text(json.dumps({
+        "version": 1,
+        "theories": {"eq2x2": {"tag": "eq_rel", "params": {"classes": 2, "size": 2}}},
+    }))
+    docs = {}
+    for kind in ("ex1", "ex2"):
+        out = root / f"{kind}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command([f"build-{kind}", str(theories), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        (name,) = doc["representations"]
+        docs[kind] = (doc, [*paths(doc), ("representations", name, "target")])
+    return root, docs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_workspaces_keep_the_exit_code_contract(built, data):
+    root, docs = built
+    doc, where = docs[data.draw(st.sampled_from(sorted(docs)))]
+    path = data.draw(st.sampled_from(where))
+    value = data.draw(st.sampled_from(["delete"] + VALUES))
+    mutated = json.loads(json.dumps(doc))
+    node = mutated
+    for key in path[:-1]:
+        node = node[key]
+    if value != "delete":
+        node[path[-1]] = value
+    elif isinstance(node, dict):
+        node.pop(path[-1], None)  # the added target path is not in the document
+    else:
+        node.pop(path[-1])
+    ws, report = root / "mutated.json", root / "report.json"
+    ws.write_text(json.dumps(mutated))
+    report.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command([data.draw(st.sampled_from(COMMANDS)), str(ws), "--out", str(report)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue().strip()
+        parse_report(report.read_text())

@@ -6,6 +6,7 @@ import pytest
 
 from repsieve import (
     FiniteStructure,
+    RepresentationMap,
     TheorySpec,
     Workspace,
     WorkspaceError,
@@ -17,17 +18,32 @@ from repsieve import (
     render_workspace,
     singleton_prefix,
     theory_oracle,
+    trivial_enrichment,
 )
 
+from conftest import linear
 
-def eq3x3_reps():
-    spec = TheorySpec.make("eq_rel", classes=3, size=3)
+
+def built_reps(tag, **params):
+    spec = TheorySpec.make(tag, **params)
     m = desk_model(spec)
     o = theory_oracle(spec, m)
     d = build_sid(o, m)
     ex2 = build_term_representation(o, m, d)
     ex1 = build_layer_representation(o, m, singleton_prefix(d))
     return spec, ex2, ex1
+
+
+def eq3x3_reps():
+    return built_reps("eq_rel", classes=3, size=3)
+
+
+def linear_identity(n):
+    """The bench's probe shape: an identity map into a bare universe with
+    the trivial enrichment."""
+    bare = FiniteStructure.make(n)
+    enr = trivial_enrichment(bare)
+    return RepresentationMap.make(linear(n), enr.apply(bare), list(range(n)), enrichment=enr)
 
 
 def full_workspace():
@@ -53,14 +69,43 @@ class TestRoundTrip:
         assert render_workspace(ws2) == text
 
     def test_resolution_matches_originals(self):
-        spec, ex2, ex1 = eq3x3_reps()
+        # targets are rebuilt on load: for the builders' maps, and for the
+        # identity into a bare universe that the benchmark's probe uses
+        models = [
+            ("eq_rel", {"classes": 3, "size": 3}),
+            ("nested_eq_rel", {"sizes": (2, 2, 2)}),
+            ("pure_set", {"n": 6}),
+        ]
+        for tag, params in models:
+            _, ex2, ex1 = built_reps(tag, **params)
+            ws = Workspace()
+            ws.add_representation("ex2", ex2)
+            ws.add_representation("ex1", ex1)
+            ws.add_representation("id", linear_identity(4))
+            text = render_workspace(ws)
+            assert sorted(json.loads(text)["structures"]) == ["ex1.source", "ex2.source", "id.source"]
+            ws2 = parse_workspace(text)
+            assert ws2.representation("ex2") == ex2
+            assert ws2.representation("ex1") == ex1
+            assert ws2.representation("id") == linear_identity(4)
+            assert ws2.representation("ex2").carrier == ex2.carrier
+
+    def test_named_target_round_trips(self):
+        r = linear_identity(3)
+        r = RepresentationMap.make(r.source, r.target, r.f)
         ws = Workspace()
-        ws.add_representation("ex2", ex2)
-        ws.add_representation("ex1", ex1)
+        ws.add_representation("id", r)
         ws2 = parse_workspace(render_workspace(ws))
-        assert ws2.representation("ex2") == ex2
-        assert ws2.representation("ex1") == ex1
-        assert ws2.representation("ex2").carrier == ex2.carrier
+        assert ws2.representations["id"].target == "id.target"
+        assert ws2.representation("id") == r
+
+    def test_underived_target_not_stored(self):
+        r = linear_identity(4)
+        r = RepresentationMap.make(r.source, r.source, r.f, enrichment=r.enrichment)
+        ws = Workspace()
+        with pytest.raises(ValueError, match="representations.id: the target is not"):
+            ws.add_representation("id", r)
+        assert ws == Workspace()
 
     def test_theory_params_refreeze(self):
         ws = Workspace()
@@ -91,10 +136,12 @@ class TestDiagnostics:
 
     def test_version(self):
         parse_err(doc(version=7), "version")
+        parse_err(doc(version=True), "version: expected an integer")
         parse_err(json.dumps({}), "version")
 
     def test_unknown_section(self):
         parse_err(doc(decompositions={}), "unknown field")
+        parse_err(doc(structures=[]), "structures: expected an object")
 
     def test_structure_fields(self):
         parse_err(doc(structures={"s": {}}), "structures.s: missing field 'universe'")
@@ -117,8 +164,12 @@ class TestDiagnostics:
 
     def test_enrichment_partition(self):
         parse_err(
-            doc(enrichments={"e": {"carrier": 3, "levels": [[0, 1]], "unary_fns": []}}),
+            doc(enrichments={"e": {"levels": [[0, 2]], "unary_fns": []}}),
             "partition",
+        )
+        parse_err(
+            doc(enrichments={"e": {"carrier": 2, "levels": [[0, 1]], "unary_fns": []}}),
+            "enrichments.e: unknown field 'carrier'",
         )
 
     def test_representation_references(self):
@@ -150,10 +201,39 @@ class TestDiagnostics:
         parse_err(
             doc(
                 structures={"s": {"universe": 1}},
-                representations={"r": {"source": "s", "target": "s", "map": [0],
-                                       "carrier": "missing"}},
+                representations={"r": {"source": "s", "map": [0], "carrier": "missing"}},
             ),
             "unresolved signature",
+        )
+        parse_err(
+            doc(
+                structures={"s": {"universe": 1}},
+                representations={"r": {"source": "s", "map": [0], "enrichment": "missing"}},
+            ),
+            "unresolved enrichment",
+        )
+        parse_err(
+            doc(
+                structures={"s": {"universe": 1}},
+                representations={"r": {"source": "s", "map": [0]}},
+            ),
+            "representations.r.target: missing",
+        )
+        parse_err(
+            doc(
+                structures={"s": {"universe": 1}},
+                enrichments={"e": {"levels": [[0]], "unary_fns": []}},
+                representations={"r": {"source": "s", "target": "s", "map": [0],
+                                       "enrichment": "e"}},
+            ),
+            "representations.r.target: not allowed beside",
+        )
+        parse_err(
+            doc(
+                structures={"s": {"universe": 1}},
+                representations={"r": {"source": ["s"], "target": "s", "map": [0]}},
+            ),
+            "representations.r.source: expected a string",
         )
 
     def test_theory_tag(self):
