@@ -47,7 +47,6 @@ from repsieve.sieve import (
     SieveTrace,
     instability_probe,
     sieve,
-    validate_trace,
     verify_indiscernible,
     witness_automorphism,
 )

@@ -15,7 +15,8 @@ universe ``{0, ..., size-1}``.  Two oracles matter downstream:
     (``("ef", d)``: the duplicator survives ``d`` rounds of the
     back-and-forth game).  The approximation has one-sided error: it
     may conflate tuples that lie in different orbits, never the converse,
-    and it coincides with the orbit oracle at depth ``size``.
+    and it coincides with the orbit oracle at depth ``size``.  So the game
+    is played only for tuples the orbit oracle puts in different orbits.
 """
 
 from __future__ import annotations
@@ -136,18 +137,27 @@ class FiniteStructure:
                 incidence[e].append(atom)
         return frozenset(atoms), incidence
 
-    # Memo tables keyed per structure instance so nothing rehashes the whole
-    # structure on every oracle call.
+    @cached_property
+    def _qf_index(self) -> tuple:
+        """Per element, the function entries it is an argument of, each once,
+        as ``(name, args, value)``; and the closure of the empty tuple (the
+        constants and what they generate) as ``(delta, label)``."""
+        entries = [[] for _ in range(self.size)]
+        constants = []
+        for f in self.functions:
+            for args, val in f.graph:
+                for a in dict.fromkeys(args):
+                    entries[a].append((f.name, args, val))
+                if not args:
+                    constants.append((f.name, (), val))
+        delta, new, _ = _qf_extend(
+            {}, [val for _, _, val in sorted(constants)], entries, self._atom_index[1]
+        )
+        return entries, (delta, new)
+
+    # game positions of the ("ef", d) oracle, keyed per structure instance
     @cached_property
     def _ef_memo(self) -> dict:
-        return {}
-
-    @cached_property
-    def _qf_memo(self) -> dict:
-        return {}
-
-    @cached_property
-    def _teq_memo(self) -> dict:  # ("ef", d) verdicts only
         return {}
 
     @cached_property
@@ -195,46 +205,143 @@ def qf_closure(s: FiniteStructure, elems: Iterable[int]) -> list:
     return order
 
 
-def _qf_type_uncached(s: FiniteStructure, t: tuple) -> QfType:
-    # The closure is generated by ``t``, so an isomorphism of two closures
-    # that fixes the tuples pointwise is unique.  Labelling elements in
-    # generation order therefore needs no search: generators by first
-    # occurrence, then, per round and function, each new value in sorted
-    # order of its argument labels.  The key lists the atoms inside the
-    # closure (an atom on no element holds for every tuple alike).
-    label: dict = {}
-    for x in t:
-        label.setdefault(x, len(label))
-    labelled, relabel = label.__contains__, label.__getitem__
-    gen = tuple(map(relabel, t))
-    changed = True
-    while changed:
-        changed = False
-        for f in s.functions:
-            found = sorted(
-                (tuple(map(relabel, args)), v)
-                for args, v in f.graph
-                if v not in label and all(map(labelled, args))
-            )
-            for _, v in found:
-                if v not in label:
-                    label[v] = len(label)
-                    changed = True
-    _, incidence = s._atom_index
-    atoms = {atom for x in label for atom in incidence[x] if all(map(labelled, atom[1]))}
-    key = sorted((name, tuple(map(relabel, elems))) for name, elems in atoms)
-    return QfType(key=(gen, len(label), tuple(key)), generators=len(t), closure_size=len(label))
+def _qf_extend(old: dict, seeds, entries, incidence) -> tuple:
+    """Extend the labelled closure ``old`` (element -> label) by ``seeds``
+    and all they generate; return ``(delta, new, reads)``.
+
+    New elements get the next labels in an order fixed by labels alone:
+    the seeds, then, per new element in label order, the values of the
+    function entries whose highest-labelled argument it is, sorted by
+    symbol and argument labels.  ``new`` maps them to their labels.
+    ``delta`` holds their number and every atom that mentions one,
+    relabelled and listed once, at its highest-labelled element.  The
+    result depends on ``old`` only through ``len(old)`` and ``reads``:
+    each element whose label in ``old`` was looked up, in first-read
+    order, with that label or -1 when it has none."""
+    base = len(old)
+    new: dict = {}
+    reads: dict = {}
+
+    def get(z):
+        got = new.get(z)
+        if got is None:
+            got = reads.get(z)
+            if got is None:
+                got = reads[z] = old.get(z, -1)
+        return got
+
+    queue = []
+    for x in seeds:
+        if get(x) < 0:
+            new[x] = base + len(queue)
+            queue.append(x)
+    for e in queue:  # grows while it is walked
+        mine = new[e]
+        placed = []
+        for name, args, val in entries[e]:
+            labels = tuple(map(get, args))
+            if -1 not in labels and max(labels) == mine:
+                placed.append((name, labels, val))
+        placed.sort()
+        for _, _, val in placed:
+            if get(val) < 0:
+                new[val] = base + len(queue)
+                queue.append(val)
+    atoms = []
+    for e in queue:
+        mine = new[e]
+        for name, elems in incidence[e]:
+            labels = tuple(map(get, elems))
+            if -1 not in labels and max(labels) == mine:
+                atoms.append((name, labels))
+    atoms.sort()
+    return (len(queue), tuple(atoms)), new, reads
 
 
 def qf_type(s: FiniteStructure, t: Sequence[int]) -> QfType:
+    """The qf type of ``t``.  Its key lists one delta per prefix: for the
+    empty tuple, the ``_qf_extend`` delta of the constants; for each next
+    element, its label when it already lies in the closure, else the
+    ``_qf_extend`` delta of the elements it brings in.
+
+    A tuple generates its closure, so an isomorphism of two closures that
+    fixes the tuples pointwise is unique, and it preserves the labels,
+    which depend on nothing but the labelled structure.  Equal keys build
+    the same labelled closure, and qf-equal tuples have equal keys, prefix
+    by prefix: such an isomorphism restricts to every prefix closure."""
     t = tuple(t)
     for x in t:
         if not (0 <= x < s.size):
             raise ValueError(f"tuple element {x} outside universe of size {s.size}")
-    memo = s._qf_memo
-    if t not in memo:
-        memo[t] = _qf_type_uncached(s, t)
-    return memo[t]
+    entries, (delta, label) = s._qf_index
+    key = [delta]
+    for x in t:
+        got = label.get(x)
+        if got is None:
+            got, new, _ = _qf_extend(label, (x,), entries, s._atom_index[1])
+            label = {**label, **new}
+        key.append(got)
+    return QfType(key=tuple(key), generators=len(t), closure_size=len(label))
+
+
+class _QfTrie:
+    """Interned qf type ids of one structure's tuples, along a prefix trie.
+
+    The id of ``t + (x,)`` is interned from the id of ``t`` and the id of
+    x's ``qf_type`` delta, so two tuples get one id exactly when
+    ``qf_type`` gives them equal keys; ids are comparable only within one
+    trie.  Each prefix is typed once, however many tuples share it.
+    Extensions are memoised per appended element and closure size, as a
+    decision tree over the labels ``_qf_extend`` read: a lookup follows
+    the labels the tuple's closure gives those elements."""
+
+    def __init__(self, s: FiniteStructure):
+        self._entries = s._qf_index[0]
+        self._incidence = s._atom_index[1]
+        self._deltas: dict = {}  # delta -> id
+        self._ids: dict = {}  # (parent id, delta id) -> id
+        self._steps: dict = {}  # (x, len(label)) -> decision tree
+        delta, label = s._qf_index[1]
+        self._nodes = {(): (self._intern(None, delta), label)}  # tuple -> (id, label)
+
+    def _intern(self, parent, delta) -> int:
+        delta_id = self._deltas.setdefault(delta, len(self._deltas))
+        return self._ids.setdefault((parent, delta_id), len(self._ids))
+
+    def _step(self, label: dict, x: int) -> tuple:
+        """``(delta, new)`` for appending ``x`` to a tuple whose closure is
+        labelled by ``label``; ``new`` is empty when x lies in the closure.
+        A memo tree node is ``[element, {label: child}]``, a leaf the result."""
+        got = label.get(x)
+        if got is not None:
+            return got, {}
+        node = self._steps.get((x, len(label)))
+        while type(node) is list:
+            node = node[1].get(label.get(node[0], -1))
+        if node is None:
+            delta, new, reads = _qf_extend(label, (x,), self._entries, self._incidence)
+            node = (delta, new)
+            slot, at = self._steps, (x, len(label))
+            for z, got in reads.items():
+                if at not in slot:
+                    slot[at] = [z, {}]
+                slot, at = slot[at][1], got
+            slot[at] = node
+        return node
+
+    def _node(self, t: tuple) -> tuple:
+        got = self._nodes.get(t)
+        if got is None:
+            parent, label = self._node(t[:-1])
+            delta, new = self._step(label, t[-1])
+            got = self._nodes[t] = (self._intern(parent, delta), {**label, **new} if new else label)
+        return got
+
+    def extension_ids(self, t: tuple, xs: Sequence[int]) -> list:
+        """The id of ``t + (x,)`` for each ``x`` of ``xs``, in order."""
+        parent, label = self._node(t)
+        ids = {x: self._intern(parent, self._step(label, x)[0]) for x in dict.fromkeys(xs)}
+        return [ids[x] for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +680,9 @@ def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy=
     tag, d = policy
     if tag != "ef" or d < 0:
         raise ValueError(f"unknown type policy {policy!r}")
-    if t2 < t1:  # equality is symmetric; normalise cache keys
-        t1, t2 = t2, t1
-    memo = s._teq_memo
-    key = (t1, t2, d)
-    if key not in memo:
-        memo[key] = _ef_equal(s, t1, t2, d)
-    return memo[key]
+    # an automorphism sending t1 to t2 wins the game at every depth, so the
+    # game is played only between tuples in different orbits
+    return s.orbits.equal(t1, t2) or _ef_equal(s, t1, t2, d)
 
 
 @dataclass(frozen=True)
@@ -641,27 +744,6 @@ class PartialAutomorphism:
         return not self.violations(s)
 
 
-def _all_extensions(s: FiniteStructure, domain: tuple) -> Iterator[dict]:
-    """All injective atom-preserving maps with exactly this domain, in lex
-    order of the image tuple."""
-
-    def rec(i, fwd, bwd):
-        if i == len(domain):
-            yield dict(fwd)
-            return
-        x = domain[i]
-        for c in range(s.size):
-            if c in bwd or not _delta_consistent(s, fwd, bwd, x, c):
-                continue
-            fwd[x] = c
-            bwd[c] = x
-            yield from rec(i + 1, fwd, bwd)
-            del fwd[x]
-            del bwd[c]
-
-    yield from rec(0, {}, {})
-
-
 def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iterator[tuple]:
     """Every partial automorphism of ``s`` with closed range whose domain is
     the closure of at most ``depth`` elements of ``pool``.
@@ -678,7 +760,8 @@ def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iter
     images under the maps of its own one-generator closure, because a map
     with closed domain and range restricts to one on every closed subset of
     its domain.  Every placed pair passes ``_delta_consistent``, so the maps
-    on each domain are those of ``_all_extensions`` whose range is closed."""
+    on each domain are all its injective atom-preserving maps with closed
+    range."""
     closure_size: dict = {}  # frozenset of generator images -> size of its closure
 
     def closed(combo, domain, fwd) -> bool:

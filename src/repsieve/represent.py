@@ -28,8 +28,8 @@ from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
     FiniteStructure,
     _generated_maps,
+    _QfTrie,
     qf_closure,
-    qf_type,
     type_equal,
 )
 from repsieve.termalg import TermAlgebra
@@ -162,30 +162,36 @@ def check_representation(
     the first-seen representative with the source-side oracle.  Emptiness
     of the report is equivalent to the representation property at this
     length bound, by transitivity of both equivalences.
+
+    Image types are interned ids from one ``_QfTrie``, which types each
+    image prefix once.  Source verdicts come from one orbit table
+    per length, whatever the policy.
     """
     _validated(r)
     _reject_degenerate(r.source, policy)
     entries = []
     checked = 0
+    trie = _QfTrie(r.target)
     for length in range(1, policy.max_tuple_len + 1):
-        if policy.delta == "orbit":
-            r.source.orbits.build_table(length)
+        r.source.orbits.build_table(length)
         reps: dict = {}
-        for t in itertools.product(range(r.source.size), repeat=length):
-            rep = reps.setdefault(qf_type(r.target, r.image(t)), t)
-            if rep is t:
-                continue
-            checked += 1
-            if not type_equal(r.source, t, rep, policy.delta):
-                entries.append(
-                    ViolationEntry(
-                        a=t,
-                        b=rep,
-                        image_a=r.image(t),
-                        image_b=r.image(rep),
-                        separation=f"images share a qf type but source types differ under {policy.delta}",
+        for prefix in itertools.product(range(r.source.size), repeat=length - 1):
+            for a, qf_id in enumerate(trie.extension_ids(r.image(prefix), r.f)):
+                t = prefix + (a,)
+                rep = reps.setdefault(qf_id, t)
+                if rep is t:
+                    continue
+                checked += 1
+                if not type_equal(r.source, t, rep, policy.delta):
+                    entries.append(
+                        ViolationEntry(
+                            a=t,
+                            b=rep,
+                            image_a=r.image(t),
+                            image_b=r.image(rep),
+                            separation=f"images share a qf type but source types differ under {policy.delta}",
+                        )
                     )
-                )
     return ViolationReport(
         checker="tuple-comparison",
         delta=policy.delta,
@@ -242,8 +248,7 @@ def check_by_partial_automorphisms(
         for t in itertools.product(range(r.source.size), repeat=length):
             img = r.image(t)
             by_generators.setdefault(tuple(sorted(set(img))), []).append((t, img))
-        if policy.delta == "orbit":
-            r.source.orbits.build_table(length)
+        r.source.orbits.build_table(length)
     fiber_size = [len(r.fibers.get(y, ())) for y in range(r.target.size)]
 
     entries = []

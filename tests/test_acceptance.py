@@ -33,12 +33,12 @@ from repsieve import (
     witness_automorphism,
 )
 from repsieve.cli import run_command
-from repsieve.finstruct import _all_extensions, qf_closure, type_equal
+from repsieve.finstruct import qf_closure, type_equal
 from repsieve.represent import RepresentationMap
-from repsieve.sieve import validate_trace
 from repsieve.sunflower import SunflowerCertificate
 
 from conftest import linear
+from reference import all_extensions, validate_trace
 
 LEN3 = CheckerPolicy(max_tuple_len=3)
 
@@ -309,7 +309,7 @@ def test_oracle_symmetry_and_invariance_laws():
 
     spec = TheorySpec.make("eq_rel", classes=3, size=3)
     m, o = model_oracle(spec)
-    autos = list(_all_extensions(m, tuple(range(m.size))))
+    autos = list(all_extensions(m, tuple(range(m.size))))
     assert len(autos) == 1296  # 3! class swaps times (3!)^3 within classes
     cases = [
         (0, frozenset(), frozenset()),

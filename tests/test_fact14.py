@@ -3,7 +3,7 @@
 ``check_by_partial_automorphisms`` chooses images for generators only and
 compares each source tuple at the domain its image generates.  The
 reference below is the direct search it replaced: every map of
-``_all_extensions`` on every closed domain, filtered to closed ranges,
+``reference.all_extensions`` on every closed domain, filtered to closed ranges,
 every source tuple inside the domain, duplicates dropped by a seen set."""
 
 import itertools
@@ -12,9 +12,10 @@ import random
 import pytest
 
 from repsieve import CheckerPolicy, RepresentationMap, check_by_partial_automorphisms
-from repsieve.finstruct import _all_extensions, _generated_maps, qf_closure, type_equal
+from repsieve.finstruct import _generated_maps, qf_closure, type_equal
 from repsieve.represent import ViolationEntry, ViolationReport
 
+from reference import all_extensions
 from test_orbits import random_structure
 
 # The reference compares every pair of source tuples a map matches up, up
@@ -41,7 +42,7 @@ def reference_check_by_partial_automorphisms(r, policy):
     seen_pairs = set()
     for u in sorted(domains, key=lambda d: (len(d), d)):
         relevant = [(t, img) for t, img, imgset in images if imgset <= set(u)]
-        for fwd in _all_extensions(r.target, u):
+        for fwd in all_extensions(r.target, u):
             img_range = set(fwd.values())
             if set(qf_closure(r.target, sorted(img_range))) != img_range:
                 continue
@@ -100,7 +101,7 @@ def test_generated_maps_are_the_closed_extensions(seed):
         assert sorted(domain) == sorted(qf_closure(s, combo))
         expected = {
             tuple(sorted(fwd.items()))
-            for fwd in _all_extensions(s, tuple(sorted(domain)))
+            for fwd in all_extensions(s, tuple(sorted(domain)))
             if set(qf_closure(s, fwd.values())) == set(fwd.values())
         }
         got = [tuple(sorted(fwd.items())) for fwd in maps]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from repsieve import (
     qf_type,
     type_equal,
 )
-from repsieve.finstruct import _all_extensions, automorphism_extending
+from repsieve.finstruct import _ef_equal, _QfTrie, automorphism_extending
+from reference import all_extensions
 from test_orbits import SEEDS, random_structure
 
 
@@ -103,14 +105,81 @@ def partition(keys):
     return sorted(sorted(c) for c in classes.values())
 
 
+def trie_ids(s, length):
+    """Each tuple of this length with its ``_QfTrie`` id, walked as the
+    tuple-comparison checker walks them."""
+    trie = _QfTrie(s)
+    elems = range(s.size)
+    for prefix in itertools.product(elems, repeat=length - 1):
+        yield from zip((prefix + (x,) for x in elems), trie.extension_ids(prefix, elems))
+
+
+def generation_order_key(s, t):
+    """The qf key the prefix trie replaced: the closure labelled in
+    generation order (generators by first occurrence, then per round and
+    function each new value by its argument labels), with every atom inside
+    it relabelled and sorted."""
+    label = {}
+    for x in t:
+        label.setdefault(x, len(label))
+    changed = True
+    while changed:
+        changed = False
+        for f in s.functions:
+            found = sorted(
+                (tuple(label[a] for a in args), v)
+                for args, v in f.graph
+                if v not in label and all(a in label for a in args)
+            )
+            for _, v in found:
+                if v not in label:
+                    label[v] = len(label)
+                    changed = True
+    atoms = [(r.name, tup) for r in s.relations for tup in r.tuples]
+    atoms += [(f.name, args + (v,)) for f in s.functions for args, v in f.graph]
+    key = sorted(
+        (name, tuple(label[e] for e in elems))
+        for name, elems in atoms
+        if elems and all(e in label for e in elems)
+    )
+    return tuple(label[x] for x in t), len(label), tuple(key)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_qf_type_matches_brute_force_classes(seed):
     s = random_structure(seed)
-    for length in range(1, 4):
+    for length in range(1, 5):
         tuples = list(itertools.product(range(s.size), repeat=length))
-        assert partition((t, qf_type(s, t)) for t in tuples) == partition(
-            (t, brute_qf_key(s, t)) for t in tuples
-        )
+        expected = partition((t, brute_qf_key(s, t)) for t in tuples)
+        assert partition((t, qf_type(s, t)) for t in tuples) == expected
+        assert partition(trie_ids(s, length)) == expected
+
+
+def partition_structure(seed):
+    """A random structure of up to eight points with constants and unary and
+    binary partial functions, so that closures grow over several rounds."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    relations = {
+        f"R{k}": (arity, {tuple(rng.randrange(n) for _ in range(arity)) for _ in range(rng.randint(0, 2 * n))})
+        for k, arity in enumerate(rng.choices((1, 2, 3), k=rng.randint(0, 2)))
+    }
+    functions = {}
+    for k, arity in enumerate(rng.choices((0, 1, 1, 2), k=rng.randint(1, 3))):
+        arg_tuples = list(itertools.product(range(n), repeat=arity))
+        chosen = rng.sample(arg_tuples, rng.randint(0, min(len(arg_tuples), n)))
+        functions[f"F{k}"] = (arity, {args: rng.randrange(n) for args in chosen})
+    return FiniteStructure.make(n, relations=relations, functions=functions)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_qf_partition_matches_generation_order_key(seed):
+    s = partition_structure(seed)
+    for length in range(1, 5):
+        tuples = list(itertools.product(range(s.size), repeat=length))
+        expected = partition((t, generation_order_key(s, t)) for t in tuples)
+        assert partition((t, qf_type(s, t)) for t in tuples) == expected
+        assert partition(trie_ids(s, length)) == expected
 
 
 class TestQfClosure:
@@ -150,6 +219,12 @@ class TestTypeEqual:
         with pytest.raises(ValueError):
             type_equal(eq3x3(), (1,), (1, 2))
 
+    @pytest.mark.parametrize("policy", ["orbit", ("ef", 1)])
+    def test_outside_universe_rejected_under_every_policy(self, policy):
+        s = FiniteStructure.make(3)
+        with pytest.raises(ValueError, match="element 3 outside universe of size 3"):
+            type_equal(s, (3,), (0,), policy)
+
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             type_equal(eq3x3(), (1,), (2,), ("ef", -1))
@@ -169,7 +244,7 @@ def partial_automorphisms(s, max_domain):
     by (size, lex) and maps by lex order of images."""
     for k in range(max_domain + 1):
         for dom in itertools.combinations(range(s.size), k):
-            for fwd in _all_extensions(s, dom):
+            for fwd in all_extensions(s, dom):
                 yield PartialAutomorphism.from_dict(fwd)
 
 
@@ -248,7 +323,7 @@ def test_qf_type_is_relabeling_invariant(st_pair, data):
 @settings(max_examples=60, deadline=None)
 def test_orbit_matches_ef_at_full_depth(st_pair):
     s, t1, t2 = st_pair
-    assert type_equal(s, t1, t2, "orbit") == type_equal(s, t1, t2, ("ef", s.size))
+    assert type_equal(s, t1, t2, "orbit") == _ef_equal(s, t1, t2, s.size)
 
 
 @given(structure_and_tuples(max_size=4), st.integers(0, 3))
@@ -272,3 +347,14 @@ def test_orbit_equal_implies_qf_equal(st_pair):
 def test_enumerated_partial_automorphisms_validate(s):
     for pa in partial_automorphisms(s, 2):
         assert pa.is_valid(s)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ef_verdicts_match_the_game_alone(seed):
+    # type_equal answers ("ef", d) from the orbit oracle when it can
+    s = random_structure(seed)
+    for length in (1, 2):
+        tuples = list(itertools.product(range(s.size), repeat=length))
+        for t1, t2 in itertools.product(tuples, repeat=2):
+            for d in range(4):
+                assert type_equal(s, t1, t2, ("ef", d)) == _ef_equal(s, t1, t2, d), (t1, t2, d)

@@ -17,12 +17,12 @@ from repsieve import (
     sieve,
     trivial_enrichment,
     type_equal,
-    validate_trace,
     verify_indiscernible,
     witness_automorphism,
 )
 
 from conftest import eq3x3, eq_structure, linear
+from reference import validate_trace
 from test_represent import one_per_class_rep
 
 
