@@ -434,7 +434,11 @@ def _cmd_sieve(args) -> int:
 
 def _check_random_family_flags(args) -> None:
     """Reject family shapes that no sampling can fill, before drawing any."""
-    for flag, value in (("--universe", args.universe), ("--set-size", args.set_size)):
+    for flag, value in (
+        ("--random", args.random),
+        ("--universe", args.universe),
+        ("--set-size", args.set_size),
+    ):
         if value < 0:
             raise WorkspaceError(f"{flag} must be >= 0, got {value}")
     if args.set_size > args.universe:

@@ -10,16 +10,16 @@ closure under the added functions finite and shallow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
+from repsieve._record import record
 from repsieve.finstruct import FiniteStructure, PartialFn
 
 __all__ = ["Enrichment", "trivial_enrichment", "validate_enrichment"]
 
 
-@dataclass(frozen=True)
+@record()
 class Enrichment:
     levels: tuple  # levels[i] = frozenset of elements at level i
     functions: tuple = ()  # unary PartialFn, regressive across levels

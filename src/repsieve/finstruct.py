@@ -21,9 +21,10 @@ universe ``{0, ..., size-1}``.  Two oracles matter downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+
+from repsieve._record import record
 
 __all__ = [
     "Relation",
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record()
 class Relation:
     name: str
     arity: int
@@ -51,7 +52,7 @@ class Relation:
                 raise ValueError(f"relation {self.name}: tuple {t} has arity != {self.arity}")
 
 
-@dataclass(frozen=True)
+@record()
 class PartialFn:
     """Partial function given by its graph, stored as sorted (args, value) pairs."""
 
@@ -72,7 +73,7 @@ class PartialFn:
         return dict(self.graph)
 
 
-@dataclass(frozen=True)
+@record()
 class FiniteStructure:
     size: int
     relations: tuple = ()
@@ -165,7 +166,7 @@ class FiniteStructure:
         return OrbitEngine(self)
 
 
-@dataclass(frozen=True)
+@record()
 class QfType:
     """Canonical quantifier-free type: a hashable serialization of the
     generator-marked closure.  Two tuples get equal QfTypes exactly when an
@@ -685,7 +686,7 @@ def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy=
     return s.orbits.equal(t1, t2) or _ef_equal(s, t1, t2, d)
 
 
-@dataclass(frozen=True)
+@record()
 class PartialAutomorphism:
     """Injective partial map preserving relations and function graphs in both
     directions (graphs read relationally, restricted to the map's domain and

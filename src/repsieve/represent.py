@@ -20,10 +20,10 @@ all tuples up to a length bound:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
+from repsieve._record import record
 from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
     FiniteStructure,
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record()
 class RepresentationMap:
     """Total map from the source universe into the target structure.
 
@@ -91,7 +91,7 @@ class RepresentationMap:
         return out
 
 
-@dataclass(frozen=True)
+@record()
 class CheckerPolicy:
     """Source-side type oracle and tuple length bound.  Image types are
     always quantifier-free."""
@@ -113,7 +113,7 @@ class CheckerPolicy:
                 raise ValueError(f"delta must be 'orbit' or ('ef', d), got {self.delta!r}")
 
 
-@dataclass(frozen=True)
+@record()
 class ViolationEntry:
     a: tuple
     b: tuple
@@ -121,7 +121,7 @@ class ViolationEntry:
     image_b: tuple
     separation: str
 
-@dataclass(frozen=True)
+@record()
 class ViolationReport:
     checker: str
     delta: object

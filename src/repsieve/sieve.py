@@ -23,9 +23,9 @@ formula to refute either the representation or the chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from repsieve._record import record
 from repsieve.finstruct import (
     FiniteStructure,
     PartialAutomorphism,
@@ -78,7 +78,7 @@ def _render_shape(shape) -> str:
     return f"{sym}({', '.join(_render_shape(c) for c in children)})"
 
 
-@dataclass(frozen=True)
+@record()
 class SieveTrace:
     r: RepresentationMap
     tuples: tuple  # source tuples, as given
@@ -162,6 +162,15 @@ def sieve(
     tuples = tuple(tuple(t) for t in tuples)
     if not tuples:
         raise ValueError("need at least one tuple")
+    n = r.source.size
+    for i, t in enumerate(tuples):
+        for j, a in enumerate(t):
+            # bool is a subclass of int, and a negative int would index r.f from its end
+            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < n:
+                raise ValueError(
+                    f"tuples[{i}][{j}]: expected an element of the source universe "
+                    f"0..{n - 1}, got {a!r}"
+                )
     if target < 2:
         raise ValueError("target must be >= 2")
     ta = r.carrier
@@ -286,7 +295,7 @@ def verify_indiscernible(
     return True
 
 
-@dataclass(frozen=True)
+@record()
 class ProbeReport:
     status: str  # "representation_refuted" | "chain_refuted" | "inconclusive"
     pair: tuple | None = None  # chain indices (i, j) the refutation rests on

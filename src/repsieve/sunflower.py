@@ -15,8 +15,9 @@ another position-wise) rely on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from repsieve._record import record
 
 __all__ = [
     "SunflowerCertificate",
@@ -26,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record()
 class SunflowerCertificate:
     selected: tuple  # family indices, ascending
     root: frozenset  # common pairwise value-set intersection
@@ -36,7 +37,7 @@ class SunflowerCertificate:
     mode: str  # "exhaustive" | "greedy"
 
 
-@dataclass(frozen=True)
+@record()
 class DeltaSystemFailure:
     target: int
     reason: str

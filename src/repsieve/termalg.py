@@ -11,10 +11,10 @@ invents new applications, which keeps every closure finite and small.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence
 
+from repsieve._record import record
 from repsieve.finstruct import FiniteStructure
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record()
 class Term:
     """Either a base element (``sym is None``) or an application."""
 
@@ -69,7 +69,7 @@ class Term:
         return f"Term[{self.render()}]"
 
 
-@dataclass(frozen=True)
+@record()
 class AlgebraSignature:
     """Function symbols with arities, in a fixed order."""
 
@@ -131,7 +131,7 @@ def build_terms(
     return terms
 
 
-@dataclass(frozen=True)
+@record()
 class TermAlgebra:
     """A deduplicated depth-bounded term table with a relational view."""
 

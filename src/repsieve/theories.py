@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
 
+from repsieve._record import record
 from repsieve.enrich import Enrichment, trivial_enrichment
 from repsieve.finstruct import FiniteStructure, QfType, qf_type, type_equal
 from repsieve.represent import RepresentationMap
@@ -47,7 +47,7 @@ __all__ = [
 STABLE_TAGS = ("pure_set", "eq_rel", "nested_eq_rel")
 
 
-@dataclass(frozen=True)
+@record()
 class TheorySpec:
     """Catalog entry: a tag plus its desk-model parameters."""
 
@@ -142,7 +142,7 @@ def desk_model(spec: TheorySpec) -> FiniteStructure:
     raise ValueError(f"unknown catalog tag {spec.tag!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IndependenceOracle:
     """Callback bundle answering independence questions for one desk model.
 
@@ -263,7 +263,7 @@ def check_strongly_independent(o: IndependenceOracle, m: FiniteStructure, elems,
     )
 
 
-@dataclass(frozen=True)
+@record()
 class ElementRecord:
     element: int
     layer: int
@@ -272,7 +272,7 @@ class ElementRecord:
     copy_index: int  # rank among same-layer elements sharing (base, type)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Decomposition:
     layers: tuple  # tuple of ascending element tuples
     records: tuple  # ElementRecord per element, sorted by element

@@ -11,8 +11,8 @@ themselves carry, so identical inputs give identical bytes and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from repsieve._record import Factory, record
 from repsieve.enrich import Enrichment
 from repsieve.finstruct import FiniteStructure
 from repsieve.represent import RepresentationMap
@@ -39,7 +39,7 @@ class WorkspaceError(ValueError):
     """Malformed document; the message names the offending field."""
 
 
-@dataclass(frozen=True)
+@record()
 class RepresentationEntry:
     """A representation stored by reference into the named sections.
 
@@ -74,13 +74,13 @@ def _derived_target(carrier: TermAlgebra, enrichment: Enrichment) -> FiniteStruc
     return base if enrichment is None else enrichment.apply(base)
 
 
-@dataclass
+@record(frozen=False)
 class Workspace:
-    structures: dict = field(default_factory=dict)
-    enrichments: dict = field(default_factory=dict)
-    signatures: dict = field(default_factory=dict)  # name -> TermAlgebra
-    representations: dict = field(default_factory=dict)  # name -> RepresentationEntry
-    theories: dict = field(default_factory=dict)  # name -> TheorySpec
+    structures: dict = Factory(dict)
+    enrichments: dict = Factory(dict)
+    signatures: dict = Factory(dict)  # name -> TermAlgebra
+    representations: dict = Factory(dict)  # name -> RepresentationEntry
+    theories: dict = Factory(dict)  # name -> TheorySpec
 
     def representation(self, name: str) -> RepresentationMap:
         """Resolve a stored entry into a live representation map.  Every

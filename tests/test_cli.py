@@ -1,6 +1,10 @@
 """Command line: exit codes, reports, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +20,8 @@ from repsieve.represent import RepresentationMap
 from repsieve.sunflower import SunflowerCertificate
 
 from conftest import linear
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -237,6 +243,22 @@ class TestSieve:
     def test_malformed_tuples(self, ex2_ws, capsys):
         assert run_command(["sieve", ex2_ws, "--tuples", "{oops"]) == 2
 
+    @pytest.mark.parametrize(
+        "tuples, field, got",
+        [
+            ("[[99]]", "tuples[0][0]", "99"),
+            ('[["a"]]', "tuples[0][0]", "'a'"),
+            ("[[-1]]", "tuples[0][0]", "-1"),
+            ("[[true]]", "tuples[0][0]", "True"),
+            ("[[0, 1], [2, -1]]", "tuples[1][1]", "-1"),
+        ],
+        ids=["too-large", "string", "negative", "bool", "second-tuple"],
+    )
+    def test_elements_outside_the_source_universe(self, ex2_ws, capsys, tuples, field, got):
+        assert run_command(["sieve", ex2_ws, "--tuples", tuples]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}: expected an element of the source universe 0..8, got {got}" in err
+
 
 class TestDeltaSystem:
     def test_explicit_sets(self, capsys):
@@ -272,6 +294,10 @@ class TestDeltaSystem:
         assert run_command(["delta-system", "--random", "1", *shape]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_negative_round_count_rejected(self, capsys):
+        assert run_command(["delta-system", "--random", "-5"]) == 2
+        assert "--random must be >= 0, got -5" in capsys.readouterr().err
+
     def test_largest_feasible_random_family_packs(self, capsys):
         # all three 2-sets of a 3-element universe: the check must not reject it
         assert run_command(["delta-system", "--random", "1", "--family-size", "3",
@@ -297,6 +323,19 @@ class TestProbe:
         assert run_command(["probe-instability", lin4_ws, "--phi", "lt",
                             "--chain", "0"]) == 0
         assert "inconclusive" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # each command is one short process that usually runs without a
+        # bytecode cache, so these modules would be compiled on every start
+        code = ("import repsieve.cli, sys; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestReportRoundTrip:

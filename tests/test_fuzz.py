@@ -1,10 +1,14 @@
-"""Exit-code contract under mutated workspace documents.
+"""Exit-code contract under mutated workspace documents and argv.
 
 Built eq 2x2 ex1 and ex2 workspaces get one mutation each: a key or list
 entry is deleted, or a value (possibly a new ``target`` beside an
 enriched entry's carrier and enrichment) is replaced by a JSON value of
 the wrong kind.  Every command must then exit 0, 1 or 2 without a
 traceback, and exit 1 only with a rendered report.
+
+The same contract holds for command-line values: ``sieve --tuples`` with
+any small JSON value, and ``delta-system`` with each integer flag left out
+or set to a small value, negatives and zero included.
 """
 
 import contextlib
@@ -81,3 +85,48 @@ def test_mutated_workspaces_keep_the_exit_code_contract(built, data):
     if code == 1:
         assert out.getvalue().strip()
         parse_report(report.read_text())
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()
+    else:
+        assert out.getvalue().strip()
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-1, 5) | st.text(max_size=2)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+TUPLE_LISTS = st.lists(st.lists(st.integers(-2, 5) | JSON_VALUES, max_size=3), max_size=4)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(tuples=TUPLE_LISTS | JSON_VALUES, target=st.integers(-1, 4))
+def test_sieve_tuples_keep_the_exit_code_contract(built, tuples, target):
+    root, _ = built
+    run_quietly(["sieve", str(root / "ex2.json"), "--tuples", json.dumps(tuples),
+                 "--target", str(target)])
+
+
+DELTA_FLAGS = {
+    "--random": st.integers(-3, 3),
+    "--target": st.integers(-2, 5),
+    "--family-size": st.integers(-2, 10),
+    "--set-size": st.integers(-2, 4),
+    "--universe": st.integers(-2, 6),
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_delta_system_flags_keep_the_exit_code_contract(data):
+    argv = ["delta-system", "--seed", "7"]
+    for flag, values in DELTA_FLAGS.items():
+        value = data.draw(st.none() | values, label=flag)
+        if value is not None:
+            argv += [flag, str(value)]
+    run_quietly(argv)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -11,6 +10,7 @@ from repsieve import (
     FiniteStructure,
     RepresentationMap,
     SieveBottleneck,
+    SieveTrace,
     Term,
     TermAlgebra,
     instability_probe,
@@ -197,20 +197,20 @@ class TestTraceValidation:
     def test_tampered_survivors_detected(self):
         r = eq_partner_rep(3)
         trace = sieve(r, [(1,), (3,), (5,)])
-        bad = dataclasses.replace(trace, s3=(trace.s3[0],))
+        bad = SieveTrace(**{**vars(trace), "s3": (trace.s3[0],)})
         assert any("survivor" in p for p in validate_trace(bad))
 
     def test_tampered_padding_detected(self):
         r = eq_partner_rep(3)
         trace = sieve(r, [(1,), (3,), (5,)])
         swapped = (trace.padded[1], trace.padded[0]) + trace.padded[2:]
-        bad = dataclasses.replace(trace, padded=swapped)
+        bad = SieveTrace(**{**vars(trace), "padded": swapped})
         assert any("padded" in p for p in validate_trace(bad))
 
     def test_tampered_groups_detected(self):
         r = eq_partner_rep(3)
         trace = sieve(r, [(1,), (3,), (5,)])
-        bad = dataclasses.replace(trace, stage1=((0, 1),))
+        bad = SieveTrace(**{**vars(trace), "stage1": ((0, 1),)})
         assert any("partition" in p for p in validate_trace(bad))
 
 
