@@ -20,7 +20,6 @@ The package is organised bottom-up:
 from repsieve.finstruct import (
     FiniteStructure,
     PartialAutomorphism,
-    QfType,
     qf_closure,
     qf_type,
     type_equal,

@@ -458,6 +458,11 @@ def _cmd_delta_system(args) -> int:
         raise WorkspaceError("delta-system needs --sets or --random")
     if args.sets is not None:
         family = _parse_json_lists(args.sets, "--sets")
+        for i, members in enumerate(family):
+            for j, x in enumerate(members):
+                # the packing hashes and sorts the elements
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise WorkspaceError(f"--sets[{i}][{j}]: expected an integer, got {x!r}")
         outcome = delta_system(family, args.target)
         if isinstance(outcome, DeltaSystemFailure):
             _emit(args, render_report(outcome))

@@ -4,9 +4,10 @@ A structure carries named relations and named partial functions over a
 universe ``{0, ..., size-1}``.  Two oracles matter downstream:
 
 ``qf_type``
-    canonical quantifier-free type of a tuple: the isomorphism type of the
-    tuple's closure under the partial functions, with the tuple positions
-    marked as generators.
+    quantifier-free type of a tuple: the isomorphism type of the tuple's
+    closure under the partial functions, with the tuple positions marked
+    as generators.  It is an int id from the structure's prefix trie
+    ``s.qf_types``, so it compares only with ids of the same structure.
 
 ``type_equal``
     full-type equality of two tuples in the same structure, either exact
@@ -30,7 +31,6 @@ __all__ = [
     "Relation",
     "PartialFn",
     "FiniteStructure",
-    "QfType",
     "PartialAutomorphism",
     "qf_closure",
     "qf_type",
@@ -138,24 +138,6 @@ class FiniteStructure:
                 incidence[e].append(atom)
         return frozenset(atoms), incidence
 
-    @cached_property
-    def _qf_index(self) -> tuple:
-        """Per element, the function entries it is an argument of, each once,
-        as ``(name, args, value)``; and the closure of the empty tuple (the
-        constants and what they generate) as ``(delta, label)``."""
-        entries = [[] for _ in range(self.size)]
-        constants = []
-        for f in self.functions:
-            for args, val in f.graph:
-                for a in dict.fromkeys(args):
-                    entries[a].append((f.name, args, val))
-                if not args:
-                    constants.append((f.name, (), val))
-        delta, new, _ = _qf_extend(
-            {}, [val for _, _, val in sorted(constants)], entries, self._atom_index[1]
-        )
-        return entries, (delta, new)
-
     # game positions of the ("ef", d) oracle, keyed per structure instance
     @cached_property
     def _ef_memo(self) -> dict:
@@ -165,20 +147,9 @@ class FiniteStructure:
     def orbits(self) -> "OrbitEngine":
         return OrbitEngine(self)
 
-
-@record()
-class QfType:
-    """Canonical quantifier-free type: a hashable serialization of the
-    generator-marked closure.  Two tuples get equal QfTypes exactly when an
-    isomorphism of their function-closures maps one tuple to the other
-    pointwise."""
-
-    key: tuple
-    generators: int
-    closure_size: int
-
-    def __repr__(self):
-        return f"QfType(gen={self.generators}, closure={self.closure_size}, key_hash={hash(self.key) & 0xFFFFFF:06x})"
+    @cached_property
+    def qf_types(self) -> "_QfTrie":
+        return _QfTrie(self)
 
 
 def _closure_steps(s: FiniteStructure, closed: set) -> Iterator[tuple]:
@@ -259,50 +230,54 @@ def _qf_extend(old: dict, seeds, entries, incidence) -> tuple:
     return (len(queue), tuple(atoms)), new, reads
 
 
-def qf_type(s: FiniteStructure, t: Sequence[int]) -> QfType:
-    """The qf type of ``t``.  Its key lists one delta per prefix: for the
-    empty tuple, the ``_qf_extend`` delta of the constants; for each next
-    element, its label when it already lies in the closure, else the
-    ``_qf_extend`` delta of the elements it brings in.
-
-    A tuple generates its closure, so an isomorphism of two closures that
-    fixes the tuples pointwise is unique, and it preserves the labels,
-    which depend on nothing but the labelled structure.  Equal keys build
-    the same labelled closure, and qf-equal tuples have equal keys, prefix
-    by prefix: such an isomorphism restricts to every prefix closure."""
+def qf_type(s: FiniteStructure, t: Sequence[int]) -> int:
+    """The qf type of ``t`` as an id of ``s.qf_types``: two tuples of ``s``
+    get one id exactly when an isomorphism of their closures maps one
+    tuple onto the other pointwise.  Ids compare only within ``s``."""
     t = tuple(t)
     for x in t:
         if not (0 <= x < s.size):
             raise ValueError(f"tuple element {x} outside universe of size {s.size}")
-    entries, (delta, label) = s._qf_index
-    key = [delta]
-    for x in t:
-        got = label.get(x)
-        if got is None:
-            got, new, _ = _qf_extend(label, (x,), entries, s._atom_index[1])
-            label = {**label, **new}
-        key.append(got)
-    return QfType(key=tuple(key), generators=len(t), closure_size=len(label))
+    return s.qf_types._node(t)[0]
 
 
 class _QfTrie:
     """Interned qf type ids of one structure's tuples, along a prefix trie.
 
+    A tuple's type is its list of deltas, one per prefix: for the empty
+    tuple, the ``_qf_extend`` delta of the constants; for each next
+    element, its label when it already lies in the closure, else the
+    ``_qf_extend`` delta of the elements it brings in.  A tuple generates
+    its closure, so an isomorphism of two closures that fixes the tuples
+    pointwise is unique, and it preserves the labels, which depend on
+    nothing but the labelled structure.  Equal delta lists build the same
+    labelled closure, and qf-equal tuples have equal deltas, prefix by
+    prefix: such an isomorphism restricts to every prefix closure.
+
     The id of ``t + (x,)`` is interned from the id of ``t`` and the id of
-    x's ``qf_type`` delta, so two tuples get one id exactly when
-    ``qf_type`` gives them equal keys; ids are comparable only within one
-    trie.  Each prefix is typed once, however many tuples share it.
-    Extensions are memoised per appended element and closure size, as a
-    decision tree over the labels ``_qf_extend`` read: a lookup follows
-    the labels the tuple's closure gives those elements."""
+    x's delta, so ids are comparable only within one trie.  Each prefix
+    is typed once, however many tuples share it.  Extensions are memoised
+    per appended element and closure size, as a decision tree over the
+    labels ``_qf_extend`` read: a lookup follows the labels the tuple's
+    closure gives those elements."""
 
     def __init__(self, s: FiniteStructure):
-        self._entries = s._qf_index[0]
+        # per element, the function entries it is an argument of, each once
+        self._entries = entries = [[] for _ in range(s.size)]
+        constants = []
+        for f in s.functions:
+            for args, val in f.graph:
+                for a in dict.fromkeys(args):
+                    entries[a].append((f.name, args, val))
+                if not args:
+                    constants.append((f.name, val))
         self._incidence = s._atom_index[1]
         self._deltas: dict = {}  # delta -> id
         self._ids: dict = {}  # (parent id, delta id) -> id
         self._steps: dict = {}  # (x, len(label)) -> decision tree
-        delta, label = s._qf_index[1]
+        delta, label, _ = _qf_extend(
+            {}, [val for _, val in sorted(constants)], entries, self._incidence
+        )
         self._nodes = {(): (self._intern(None, delta), label)}  # tuple -> (id, label)
 
     def _intern(self, parent, delta) -> int:
@@ -701,14 +676,6 @@ class PartialAutomorphism:
     @cached_property
     def as_dict(self) -> dict:
         return dict(self.pairs)
-
-    @cached_property
-    def domain(self) -> frozenset:
-        return frozenset(a for a, _ in self.pairs)
-
-    @cached_property
-    def range(self) -> frozenset:
-        return frozenset(b for _, b in self.pairs)
 
     def apply(self, t: Sequence[int]) -> tuple:
         return tuple(self.as_dict[x] for x in t)

@@ -28,7 +28,6 @@ from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
     FiniteStructure,
     _generated_maps,
-    _QfTrie,
     qf_closure,
     type_equal,
 )
@@ -163,15 +162,15 @@ def check_representation(
     of the report is equivalent to the representation property at this
     length bound, by transitivity of both equivalences.
 
-    Image types are interned ids from one ``_QfTrie``, which types each
-    image prefix once.  Source verdicts come from one orbit table
-    per length, whatever the policy.
+    Image types are interned ids from the target's ``qf_types`` trie,
+    which types each image prefix once.  Source verdicts come from one
+    orbit table per length, whatever the policy.
     """
     _validated(r)
     _reject_degenerate(r.source, policy)
     entries = []
     checked = 0
-    trie = _QfTrie(r.target)
+    trie = r.target.qf_types
     for length in range(1, policy.max_tuple_len + 1):
         r.source.orbits.build_table(length)
         reps: dict = {}

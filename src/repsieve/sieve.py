@@ -69,15 +69,6 @@ class SieveBottleneck(Exception):
         )
 
 
-def _render_shape(shape) -> str:
-    if shape[0] == "v":
-        return f"v{shape[1]}"
-    _, sym, *children = shape
-    if not children:
-        return sym
-    return f"{sym}({', '.join(_render_shape(c) for c in children)})"
-
-
 @record()
 class SieveTrace:
     r: RepresentationMap
@@ -85,11 +76,8 @@ class SieveTrace:
     padded: tuple  # per input: image tuple followed by its closure, term ids
     xi: int  # padded length of the chosen group
     stage0: tuple  # groups of input indices, largest first
-    stage0_keys: tuple  # rendered shape vector per stage0 group
     stage1: tuple
-    stage1_keys: tuple  # frozenset of (position, level) per group
     stage2: tuple
-    stage2_keys: tuple  # frozenset of (function, position, position) per group
     chosen: tuple  # the stage2 group handed to the delta-system search
     certificate: SunflowerCertificate  # over the chosen group's padded tuples
     s3: tuple  # surviving input indices
@@ -114,6 +102,17 @@ class SieveTrace:
             "stage2": len(self.stage2[0]) if self.stage2 else 0,
             "stage3": len(self.s3),
         }
+
+
+def _check_in_universe(tuples, n: int, name: str) -> None:
+    for i, t in enumerate(tuples):
+        for j, a in enumerate(t):
+            # bool is a subclass of int, and a negative int would index a map from its end
+            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < n:
+                raise ValueError(
+                    f"{name}[{i}][{j}]: expected an element of the source universe "
+                    f"0..{n - 1}, got {a!r}"
+                )
 
 
 def _padded_image(r: RepresentationMap, t) -> tuple:
@@ -162,15 +161,7 @@ def sieve(
     tuples = tuple(tuple(t) for t in tuples)
     if not tuples:
         raise ValueError("need at least one tuple")
-    n = r.source.size
-    for i, t in enumerate(tuples):
-        for j, a in enumerate(t):
-            # bool is a subclass of int, and a negative int would index r.f from its end
-            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < n:
-                raise ValueError(
-                    f"tuples[{i}][{j}]: expected an element of the source universe "
-                    f"0..{n - 1}, got {a!r}"
-                )
+    _check_in_universe(tuples, r.source.size, "tuples")
     if target < 2:
         raise ValueError("target must be >= 2")
     ta = r.carrier
@@ -231,13 +222,8 @@ def sieve(
         padded=padded,
         xi=len(family[0]),
         stage0=tuple(tuple(m) for _, m in stage0),
-        stage0_keys=tuple(
-            tuple(_render_shape(s) for s in key) for key, _ in stage0
-        ),
         stage1=tuple(tuple(m) for _, m in stage1),
-        stage1_keys=tuple(key for key, _ in stage1),
         stage2=tuple(tuple(m) for _, m in stage2),
-        stage2_keys=tuple(key for key, _ in stage2),
         chosen=chosen,
         certificate=outcome,
         s3=s3,
@@ -343,6 +329,7 @@ def instability_probe(
     chain = tuple(tuple(t) for t in chain)
     if not chain:
         raise ValueError("chain precondition failure: empty chain")
+    _check_in_universe(chain, r.source.size, "chain")
     if isinstance(phi, str):
         if phi not in (rel.name for rel in r.source.relations):
             raise ValueError(f"chain precondition failure: unknown relation {phi!r}")

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from repsieve._record import record
 from repsieve.enrich import Enrichment, trivial_enrichment
-from repsieve.finstruct import FiniteStructure, QfType, qf_type, type_equal
+from repsieve.finstruct import FiniteStructure, qf_type, type_equal
 from repsieve.represent import RepresentationMap
 from repsieve.sieve import verify_indiscernible
 from repsieve.termalg import AlgebraSignature, Term, TermAlgebra
@@ -268,7 +268,7 @@ class ElementRecord:
     element: int
     layer: int
     base: tuple  # sorted enumeration of the element's base set
-    type_key: QfType  # type of the element joined to its base enumeration
+    type_key: int  # qf type id, in the model, of the element joined to its base enumeration
     copy_index: int  # rank among same-layer elements sharing (base, type)
 
 
@@ -286,9 +286,6 @@ class Decomposition:
 
     def record(self, a: int) -> ElementRecord:
         return self._by_element[a]
-
-    def layer_of(self, a: int) -> int:
-        return self._by_element[a].layer
 
     def below(self, layer_index: int) -> tuple:
         return tuple(

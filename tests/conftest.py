@@ -2,7 +2,13 @@
 
 import itertools
 
-from repsieve import FiniteStructure
+from repsieve import (
+    FiniteStructure,
+    RepresentationMap,
+    Workspace,
+    save_workspace,
+    trivial_enrichment,
+)
 
 
 def eq_structure(classes, size=None):
@@ -26,3 +32,15 @@ def linear(n):
     """Strict linear order 0 < 1 < ... < n-1 as a binary relation."""
     lt = {(i, j) for i in range(n) for j in range(n) if i < j}
     return FiniteStructure.make(n, relations={"lt": (2, lt)})
+
+
+def save_lin4(path):
+    """Write a workspace holding the identity map of ``linear(4)`` into a
+    bare 4-element target, as ``lin4.id``."""
+    bare = FiniteStructure.make(4)
+    enr = trivial_enrichment(bare)
+    r = RepresentationMap.make(linear(4), enr.apply(bare), list(range(4)), enrichment=enr)
+    ws = Workspace()
+    ws.add_representation("lin4.id", r)
+    save_workspace(ws, path)
+    return str(path)

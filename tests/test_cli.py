@@ -8,18 +8,11 @@ import sys
 
 import pytest
 
-from repsieve import (
-    FiniteStructure,
-    TheorySpec,
-    Workspace,
-    save_workspace,
-    trivial_enrichment,
-)
+from repsieve import TheorySpec, Workspace, save_workspace
 from repsieve.cli import parse_report, render_report, run_command
-from repsieve.represent import RepresentationMap
 from repsieve.sunflower import SunflowerCertificate
 
-from conftest import linear
+from conftest import save_lin4
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -42,17 +35,7 @@ def ex2_ws(tmp_path, theories_ws):
 
 @pytest.fixture
 def lin4_ws(tmp_path):
-    lin = linear(4)
-    bare = FiniteStructure.make(4)
-    enr = trivial_enrichment(bare)
-    r = RepresentationMap.make(
-        lin, enr.apply(bare), {i: i for i in range(4)}, enrichment=enr
-    )
-    ws = Workspace()
-    ws.add_representation("lin4.id", r)
-    path = tmp_path / "lin4.json"
-    save_workspace(ws, path)
-    return str(path)
+    return save_lin4(tmp_path / "lin4.json")
 
 
 class TestDemo:
@@ -298,6 +281,21 @@ class TestDeltaSystem:
         assert run_command(["delta-system", "--random", "-5"]) == 2
         assert "--random must be >= 0, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sets, field, got",
+        [
+            ("[[[1]],[[2]]]", "--sets[0][0]", "[1]"),
+            ("[[{}],[2]]", "--sets[0][0]", "{}"),
+            ('[[1,"a",3],[1,"a",4]]', "--sets[0][1]", "'a'"),
+            ("[[1,2],[3,4.5]]", "--sets[1][1]", "4.5"),
+            ("[[true],[2]]", "--sets[0][0]", "True"),
+        ],
+        ids=["list", "object", "string", "float", "bool"],
+    )
+    def test_non_integer_set_elements_rejected(self, sets, field, got, capsys):
+        assert run_command(["delta-system", "--sets", sets, "--target", "2"]) == 2
+        assert f"error: {field}: expected an integer, got {got}" in capsys.readouterr().err
+
     def test_largest_feasible_random_family_packs(self, capsys):
         # all three 2-sets of a 3-element universe: the check must not reject it
         assert run_command(["delta-system", "--random", "1", "--family-size", "3",
@@ -318,6 +316,16 @@ class TestProbe:
         assert run_command(["probe-instability", ex2_ws, "--phi", "E",
                             "--chain", "0,1,2"]) == 2
         assert "chain precondition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "chain, field, got",
+        [("--chain=0,1,99", "chain[2][0]", "99"), ("--chain=-1,0", "chain[0][0]", "-1")],
+        ids=["too-large", "negative"],
+    )
+    def test_chain_outside_the_source_universe(self, lin4_ws, chain, field, got, capsys):
+        assert run_command(["probe-instability", lin4_ws, "--phi", "lt", chain]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}: expected an element of the source universe 0..3, got {got}" in err
 
     def test_short_chain_inconclusive(self, lin4_ws, capsys):
         assert run_command(["probe-instability", lin4_ws, "--phi", "lt",

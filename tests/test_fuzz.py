@@ -6,9 +6,11 @@ enriched entry's carrier and enrichment) is replaced by a JSON value of
 the wrong kind.  Every command must then exit 0, 1 or 2 without a
 traceback, and exit 1 only with a rendered report.
 
-The same contract holds for command-line values: ``sieve --tuples`` with
-any small JSON value, and ``delta-system`` with each integer flag left out
-or set to a small value, negatives and zero included.
+The same contract holds for command-line values: ``sieve --tuples`` and
+``delta-system --sets`` with any small JSON value, ``delta-system`` with
+each integer flag left out or set to a small value, negatives and zero
+included, and ``probe-instability --chain`` with small integer lists on a
+4-element linear order.
 """
 
 import contextlib
@@ -20,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repsieve.cli import parse_report, run_command
+
+from conftest import save_lin4
 
 VALUES = [True, -1, "x", [], {}]
 COMMANDS = ["check-representation", "check-fact14", "sieve"]
@@ -130,3 +134,31 @@ def test_delta_system_flags_keep_the_exit_code_contract(data):
         if value is not None:
             argv += [flag, str(value)]
     run_quietly(argv)
+
+
+JSON_OBJECTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+SET_LISTS = st.lists(st.lists(st.integers(-2, 5) | JSON_OBJECTS, max_size=4), max_size=5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(sets=SET_LISTS | JSON_OBJECTS, target=st.integers(-1, 4))
+def test_delta_system_sets_keep_the_exit_code_contract(sets, target):
+    run_quietly(["delta-system", "--sets", json.dumps(sets), "--target", str(target)])
+
+
+@pytest.fixture(scope="module")
+def lin4(tmp_path_factory):
+    return save_lin4(tmp_path_factory.mktemp("fuzz") / "lin4.json")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(chain=st.lists(st.integers(-2, 6), max_size=5))
+def test_probe_chain_keeps_the_exit_code_contract(lin4, chain):
+    run_quietly(["probe-instability", lin4, "--phi", "lt",
+                 "--chain=" + ",".join(map(str, chain))])

@@ -20,6 +20,7 @@ from repsieve import (
     verify_indiscernible,
     witness_automorphism,
 )
+from repsieve.sieve import _shape_vector
 
 from conftest import eq3x3, eq_structure, linear
 from reference import validate_trace
@@ -77,7 +78,7 @@ class TestSieve:
         r = flat_rep(FiniteStructure.make(3))
         trace = sieve(r, [(1, 1, 0), (2, 2, 0)])
         assert trace.padded[0] == (1, 1, 0)
-        assert trace.stage0_keys[0] == ("v0", "v0", "v1")
+        assert _shape_vector(r.carrier, trace.padded[0]) == (("v", 0), ("v", 0), ("v", 1))
 
     def test_survivor_counts_shape(self):
         r = eq_partner_rep(4)
