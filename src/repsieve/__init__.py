@@ -60,7 +60,6 @@ from repsieve.theories import (
     check_strongly_independent,
     desk_model,
     nested_class_oracle,
-    refine_decomposition,
     singleton_prefix,
     theory_oracle,
     verify_decomposition,

@@ -2,7 +2,9 @@
 
 Loads workspace documents, runs the checkers, builders, and sieves, and
 emits paired artifacts: a human-readable report on stdout and, with
-``--out``, a machine-readable JSON file that ``parse_report`` round-trips.
+``--out``, a machine-readable report, plain JSON (``indent=2``, sorted
+keys) whose ``kind`` names what it holds.  Each command renders its own
+result, and ``_emit`` alone writes the report file.
 Exit codes: 0 success or empty report, 1 violations or a failed
 certificate, 2 malformed input.
 """
@@ -36,7 +38,6 @@ from repsieve.sunflower import (
     delta_system,
     validate_sunflower,
 )
-from repsieve.termalg import TermAlgebra
 from repsieve.theories import (
     Decomposition,
     TheorySpec,
@@ -52,39 +53,17 @@ from repsieve.workspace import (
     Workspace,
     WorkspaceError,
     load_workspace,
-    render_workspace,
     save_workspace,
 )
 
-__all__ = ["main", "run_command", "render_report", "parse_report", "ReportArtifact"]
-
-REPORT_KINDS = (
-    "violation-report",
-    "sunflower-certificate",
-    "delta-failure",
-    "sieve-trace",
-    "sieve-bottleneck",
-    "probe-report",
-    "decomposition",
-    "representation",
-)
-
-
-class ReportArtifact:
-    def __init__(self, human: str, machine: dict):
-        self.human = human
-        self.machine = machine
-
-    @property
-    def text(self) -> str:
-        return json.dumps(self.machine, indent=2, sort_keys=True) + "\n"
+__all__ = ["main", "run_command"]
 
 
 def _delta_str(delta) -> str:
     return delta if delta == "orbit" else f"ef:{delta[1]}"
 
 
-def _violation_artifact(rep: ViolationReport) -> ReportArtifact:
+def _violation_artifact(rep: ViolationReport) -> tuple:
     machine = {
         "kind": "violation-report",
         "checker": rep.checker,
@@ -113,11 +92,11 @@ def _violation_artifact(rep: ViolationReport) -> ReportArtifact:
                 f"images {tuple(e.image_a)} / {tuple(e.image_b)}"
             )
         human = "\n".join(lines)
-    return ReportArtifact(human, machine)
+    return human, machine
 
 
-def _certificate_lines(c: SunflowerCertificate) -> list:
-    return [
+def _certificate_artifact(c: SunflowerCertificate) -> tuple:
+    lines = [
         f"sunflower certificate ({c.mode})",
         "selected: " + ", ".join(map(str, c.selected)),
         "root: " + (", ".join(map(str, sorted(c.root))) or "(empty)"),
@@ -130,10 +109,7 @@ def _certificate_lines(c: SunflowerCertificate) -> list:
             or "(none)"
         ),
     ]
-
-
-def _certificate_machine(c: SunflowerCertificate) -> dict:
-    return {
+    machine = {
         "kind": "sunflower-certificate",
         "selected": list(c.selected),
         "root": sorted(c.root),
@@ -142,9 +118,32 @@ def _certificate_machine(c: SunflowerCertificate) -> dict:
         "rep_equiv": sorted(sorted(cls) for cls in c.rep_equiv),
         "mode": c.mode,
     }
+    return "\n".join(lines), machine
 
 
-def _trace_artifact(trace: SieveTrace) -> ReportArtifact:
+def _delta_failure_artifact(f: DeltaSystemFailure) -> tuple:
+    flavor = " (inconclusive)" if f.inconclusive else ""
+    machine = {
+        "kind": "delta-failure",
+        "target": f.target,
+        "reason": f.reason,
+        "inconclusive": f.inconclusive,
+    }
+    return f"no delta system of size {f.target}{flavor}: {f.reason}", machine
+
+
+def _bottleneck_artifact(b: SieveBottleneck) -> tuple:
+    machine = {
+        "kind": "sieve-bottleneck",
+        "stage": b.stage,
+        "largest": b.largest,
+        "target": b.target,
+        "inconclusive": b.inconclusive,
+    }
+    return f"sieve bottleneck: {b}", machine
+
+
+def _trace_artifact(trace: SieveTrace) -> tuple:
     counts = trace.survivor_counts()
     lines = [f"sieve: {counts['input']} tuples in"]
     for stage, label in (
@@ -156,18 +155,19 @@ def _trace_artifact(trace: SieveTrace) -> ReportArtifact:
         lines.append(f"  {stage} ({label}): {counts[stage]}")
     lines.append("survivors: " + ", ".join(map(str, trace.s3)))
     lines.append(f"padded length: {trace.xi}")
-    lines += _certificate_lines(trace.certificate)
+    cert_human, cert_machine = _certificate_artifact(trace.certificate)
+    lines.append(cert_human)
     machine = {
         "kind": "sieve-trace",
         "counts": dict(counts),
         "survivors": list(trace.s3),
         "xi": trace.xi,
-        "certificate": _certificate_machine(trace.certificate),
+        "certificate": cert_machine,
     }
-    return ReportArtifact("\n".join(lines), machine)
+    return "\n".join(lines), machine
 
 
-def _probe_artifact(report: ProbeReport) -> ReportArtifact:
+def _probe_artifact(report: ProbeReport) -> tuple:
     lines = [f"probe: {report.status}"]
     if report.pair is not None:
         lines.append(f"pair: {report.pair}")
@@ -183,10 +183,10 @@ def _probe_artifact(report: ProbeReport) -> ReportArtifact:
         "backward": list(report.backward) if report.backward is not None else None,
         "detail": report.detail,
     }
-    return ReportArtifact("\n".join(lines), machine)
+    return "\n".join(lines), machine
 
 
-def _decomposition_artifact(d: Decomposition) -> ReportArtifact:
+def _decomposition_artifact(d: Decomposition) -> tuple:
     tags = _type_tags(d)
     n = len(d.layers)
     lines = [f"decomposition ({d.mode}), {n} layer" + ("s" if n != 1 else "")]
@@ -214,90 +214,29 @@ def _decomposition_artifact(d: Decomposition) -> ReportArtifact:
         "layers": [list(layer) for layer in d.layers],
         "records": records,
     }
-    return ReportArtifact("\n".join(lines), machine)
+    return "\n".join(lines), machine
 
 
-def _representation_artifact(r: RepresentationMap) -> ReportArtifact:
+def _representation_text(r: RepresentationMap) -> str:
     lines = [
         f"representation: {r.source.size} source elements into "
         f"{r.target.size} target elements"
     ]
-    terms = None
     if r.carrier is not None:
-        terms = {}
         for a, image in enumerate(r.f):
-            rendered = r.carrier.term(image).render()
-            terms[str(a)] = rendered
-            lines.append(f"  {a} -> {rendered}")
+            lines.append(f"  {a} -> {r.carrier.term(image).render()}")
     else:
         lines.append("  map: " + ", ".join(f"{a}->{v}" for a, v in enumerate(r.f)))
-    machine = {
-        "kind": "representation",
-        "source_universe": r.source.size,
-        "target_universe": r.target.size,
-        "map": list(r.f),
-        "terms": terms,
-    }
-    return ReportArtifact("\n".join(lines), machine)
+    return "\n".join(lines)
 
 
-def render_report(result) -> ReportArtifact:
-    """Human and machine artifacts for any module result."""
-    if isinstance(result, ViolationReport):
-        return _violation_artifact(result)
-    if isinstance(result, SunflowerCertificate):
-        return ReportArtifact(
-            "\n".join(_certificate_lines(result)), _certificate_machine(result)
-        )
-    if isinstance(result, DeltaSystemFailure):
-        flavor = " (inconclusive)" if result.inconclusive else ""
-        return ReportArtifact(
-            f"no delta system of size {result.target}{flavor}: {result.reason}",
-            {
-                "kind": "delta-failure",
-                "target": result.target,
-                "reason": result.reason,
-                "inconclusive": result.inconclusive,
-            },
-        )
-    if isinstance(result, SieveTrace):
-        return _trace_artifact(result)
-    if isinstance(result, SieveBottleneck):
-        return ReportArtifact(
-            f"sieve bottleneck: {result}",
-            {
-                "kind": "sieve-bottleneck",
-                "stage": result.stage,
-                "largest": result.largest,
-                "target": result.target,
-                "inconclusive": result.inconclusive,
-            },
-        )
-    if isinstance(result, ProbeReport):
-        return _probe_artifact(result)
-    if isinstance(result, Decomposition):
-        return _decomposition_artifact(result)
-    if isinstance(result, RepresentationMap):
-        return _representation_artifact(result)
-    raise TypeError(f"no report format for {type(result).__name__}")
-
-
-def parse_report(text: str) -> dict:
-    """Machine artifact back to its dictionary; inverse of the render."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") not in REPORT_KINDS:
-        raise ValueError("not a report artifact")
-    return doc
-
-
-def _emit(args, art: ReportArtifact):
-    print(art.human)
+def _emit(args, human: str, machine: dict) -> None:
+    """Print the human report; with ``--out``, write the machine report as
+    JSON with sorted keys."""
+    print(human)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(art.text)
+            fh.write(json.dumps(machine, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_delta(text: str):
@@ -305,9 +244,11 @@ def _parse_delta(text: str):
         return "orbit"
     if text.startswith("ef:"):
         try:
-            return ("ef", int(text[3:]))
+            depth = int(text[3:])
         except ValueError:
-            pass
+            depth = -1
+        if depth >= 0:
+            return ("ef", depth)
     raise WorkspaceError(f"--delta must be 'orbit' or 'ef:D', got {text!r}")
 
 
@@ -361,7 +302,7 @@ def _cmd_check_representation(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
     report = check_representation(r, _policy(args))
-    _emit(args, render_report(report))
+    _emit(args, *_violation_artifact(report))
     return 0 if report.empty else 1
 
 
@@ -369,27 +310,29 @@ def _cmd_check_fact14(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
     report = check_by_partial_automorphisms(r, _policy(args), max_domain=args.max_domain)
-    _emit(args, render_report(report))
+    _emit(args, *_violation_artifact(report))
     return 0 if report.empty else 1
 
 
-def _built_theory(args):
+def _decompose(spec: TheorySpec, mode: str) -> Decomposition:
+    m = desk_model(spec)
+    return build_sid(theory_oracle(spec, m), m, mode)
+
+
+def _decomposed_theory(args, mode: str = "omega_stable"):
     ws = load_workspace(args.workspace)
     name, spec = _theory_from(ws, args.theory)
-    m = desk_model(spec)
-    o = theory_oracle(spec, m)
-    return ws, name, spec, m, o
+    return ws, name, _decompose(spec, mode)
 
 
 def _cmd_build_sid(args) -> int:
-    _, _, _, m, o = _built_theory(args)
-    d = build_sid(o, m, args.mode.replace("-", "_"))
-    _emit(args, render_report(d))
+    _, _, d = _decomposed_theory(args, args.mode.replace("-", "_"))
+    _emit(args, *_decomposition_artifact(d))
     return 0
 
 
 def _save_built(args, ws: Workspace, rep_name: str, r) -> None:
-    print(render_report(r).human)
+    print(_representation_text(r))
     if args.out:
         out = Workspace()
         out.theories.update(ws.theories)
@@ -399,17 +342,15 @@ def _save_built(args, ws: Workspace, rep_name: str, r) -> None:
 
 
 def _cmd_build_ex2(args) -> int:
-    ws, name, spec, m, o = _built_theory(args)
-    d = build_sid(o, m, "omega_stable")
-    r = build_term_representation(o, m, d, args.mode.replace("-", "_"))
+    ws, name, d = _decomposed_theory(args)
+    r = build_term_representation(d, args.mode.replace("-", "_"))
     _save_built(args, ws, f"{name}.ex2", r)
     return 0
 
 
 def _cmd_build_ex1(args) -> int:
-    ws, name, spec, m, o = _built_theory(args)
-    d = singleton_prefix(build_sid(o, m, "omega_stable"))
-    r = build_layer_representation(o, m, d)
+    ws, name, d = _decomposed_theory(args)
+    r = build_layer_representation(singleton_prefix(d))
     _save_built(args, ws, f"{name}.ex1", r)
     return 0
 
@@ -424,11 +365,11 @@ def _cmd_sieve(args) -> int:
     try:
         trace = sieve(r, tuples, target=args.target)
     except SieveBottleneck as exc:
-        _emit(args, render_report(exc))
+        _emit(args, *_bottleneck_artifact(exc))
         return 1
     for u in trace.s3[1:]:
         witness_automorphism(trace, (trace.s3[0],), (u,))
-    _emit(args, render_report(trace))
+    _emit(args, *_trace_artifact(trace))
     return 0
 
 
@@ -465,10 +406,10 @@ def _cmd_delta_system(args) -> int:
                     raise WorkspaceError(f"--sets[{i}][{j}]: expected an integer, got {x!r}")
         outcome = delta_system(family, args.target)
         if isinstance(outcome, DeltaSystemFailure):
-            _emit(args, render_report(outcome))
+            _emit(args, *_delta_failure_artifact(outcome))
             return 1
         problems = validate_sunflower(family, outcome)
-        _emit(args, render_report(outcome))
+        _emit(args, *_certificate_artifact(outcome))
         if problems:
             print("certificate rejected: " + "; ".join(problems))
             return 1
@@ -486,17 +427,17 @@ def _cmd_delta_system(args) -> int:
                 family.append(s)
         outcome = delta_system(family, args.target)
         if isinstance(outcome, DeltaSystemFailure):
-            _emit(args, render_report(outcome))
+            _emit(args, *_delta_failure_artifact(outcome))
             print(f"failed on round {round_no}")
             return 1
         problems = validate_sunflower(family, outcome)
         if problems:
-            _emit(args, render_report(outcome))
+            _emit(args, *_certificate_artifact(outcome))
             print(f"certificate rejected on round {round_no}: " + "; ".join(problems))
             return 1
         last = outcome
     print(f"{args.random} random families packed and validated")
-    _emit(args, render_report(last))
+    _emit(args, *_certificate_artifact(last))
     return 0
 
 
@@ -505,7 +446,7 @@ def _cmd_probe(args) -> int:
     r = _pick_representation(ws, args.rep)
     chain = [(x,) for x in _parse_int_list(args.chain, "--chain")]
     report = instability_probe(r, args.phi, chain, delta=_parse_delta(args.delta))
-    _emit(args, render_report(report))
+    _emit(args, *_probe_artifact(report))
     return 1 if report.refuted else 0
 
 
@@ -520,15 +461,12 @@ def _demo_spec(args) -> TheorySpec:
 
 
 def _cmd_demo(args) -> int:
-    spec = _demo_spec(args)
-    m = desk_model(spec)
-    o = theory_oracle(spec, m)
-    d = build_sid(o, m, "omega_stable")
-    print(render_report(d).human)
-    r = build_term_representation(o, m, d, args.mode.replace("-", "_"))
-    print(render_report(r).human)
+    d = _decompose(_demo_spec(args), "omega_stable")
+    print(_decomposition_artifact(d)[0])
+    r = build_term_representation(d, args.mode.replace("-", "_"))
+    print(_representation_text(r))
     report = check_representation(r, _policy(args))
-    _emit(args, render_report(report))
+    _emit(args, *_violation_artifact(report))
     return 0 if report.empty else 1
 
 

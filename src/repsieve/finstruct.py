@@ -114,16 +114,9 @@ class FiniteStructure:
     def relation(self, name) -> Relation:
         return self._rel_index[name]
 
-    def function(self, name) -> PartialFn:
-        return self._fn_index[name]
-
     @cached_property
     def _rel_index(self) -> dict:
         return {r.name: r for r in self.relations}
-
-    @cached_property
-    def _fn_index(self) -> dict:
-        return {f.name: f for f in self.functions}
 
     @cached_property
     def _atom_index(self) -> tuple:
@@ -677,9 +670,6 @@ class PartialAutomorphism:
     def as_dict(self) -> dict:
         return dict(self.pairs)
 
-    def apply(self, t: Sequence[int]) -> tuple:
-        return tuple(self.as_dict[x] for x in t)
-
     def violations(self, s: FiniteStructure) -> list:
         """Re-check the defining conditions against ``s``; empty means valid."""
         out = []
@@ -707,9 +697,6 @@ class PartialAutomorphism:
                     if f.as_dict.get(tuple(bwd[a] for a in args)) != bwd[val]:
                         out.append(f"function {f.name}: preimage of {(args, val)} not in graph")
         return out
-
-    def is_valid(self, s: FiniteStructure) -> bool:
-        return not self.violations(s)
 
 
 def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iterator[tuple]:

@@ -33,7 +33,7 @@ from repsieve.finstruct import (
     qf_type,
     type_equal,
 )
-from repsieve.represent import RepresentationMap
+from repsieve.represent import CheckerPolicy, RepresentationMap
 from repsieve.sunflower import (
     DeltaSystemFailure,
     SunflowerCertificate,
@@ -148,12 +148,7 @@ def _group(indices, key_of) -> list:
     return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[1][0]))
 
 
-def sieve(
-    r: RepresentationMap,
-    tuples: Sequence[Sequence[int]],
-    target: int = 2,
-    exhaustive_threshold: int = 200,
-) -> SieveTrace:
+def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2) -> SieveTrace:
     """Run the four-stage extraction; raises :class:`SieveBottleneck` naming
     the first stage whose largest group cannot reach ``target``."""
     if r.carrier is None:
@@ -212,7 +207,7 @@ def sieve(
 
     chosen = tuple(stage2[0][1])
     family = [padded[i] for i in chosen]
-    outcome = delta_system(family, target, exhaustive_threshold)
+    outcome = delta_system(family, target)
     if isinstance(outcome, DeltaSystemFailure):
         raise SieveBottleneck("stage3", len(chosen), target, outcome.inconclusive)
     s3 = tuple(chosen[k] for k in outcome.selected)
@@ -326,6 +321,7 @@ def instability_probe(
     must be strictly ordered by ``phi`` in both directions; that is checked
     first and rejected outright when it fails.
     """
+    CheckerPolicy(delta=delta)  # rejects a malformed delta before any work
     chain = tuple(tuple(t) for t in chain)
     if not chain:
         raise ValueError("chain precondition failure: empty chain")

@@ -107,10 +107,12 @@ def build_terms(
     than ``max_terms`` terms would be produced."""
     if base_size < 0 or max_depth < 0:
         raise ValueError("base_size and max_depth must be >= 0")
-    terms: list = [Term.of_base(i) for i in range(base_size)]
-    terms += [Term.app(n) for n, k in signature if k == 0]
-    if len(terms) > max_terms:
+    constants = [n for n, k in signature if k == 0]
+    # checked before any term is made: a huge base must not fill memory first
+    if base_size + len(constants) > max_terms:
         raise ValueError(f"term table exceeds {max_terms} entries at depth 0")
+    terms: list = [Term.of_base(i) for i in range(base_size)]
+    terms += [Term.app(n) for n in constants]
     prev_len = 0  # terms with depth < current stage start before this index
     for _depth in range(1, max_depth + 1):
         stage_start = len(terms)

@@ -38,14 +38,10 @@ __all__ = [
     "check_strongly_independent",
     "build_sid",
     "verify_decomposition",
-    "refine_decomposition",
     "singleton_prefix",
     "build_term_representation",
     "build_layer_representation",
 ]
-
-STABLE_TAGS = ("pure_set", "eq_rel", "nested_eq_rel")
-
 
 @record()
 class TheorySpec:
@@ -251,7 +247,7 @@ def theory_oracle(spec: TheorySpec, m: FiniteStructure) -> IndependenceOracle:
     raise ValueError(f"unknown catalog tag {spec.tag!r}")
 
 
-def check_strongly_independent(o: IndependenceOracle, m: FiniteStructure, elems, over) -> bool:
+def check_strongly_independent(o: IndependenceOracle, elems, over) -> bool:
     """True iff every element's type over everything else (the other
     elements plus the over-set) is the unique nonforking extension of its
     type over the over-set alone."""
@@ -275,10 +271,27 @@ class ElementRecord:
 @record(eq=False)
 class Decomposition:
     layers: tuple  # tuple of ascending element tuples
-    records: tuple  # ElementRecord per element, sorted by element
     mode: str  # "generic" | "omega_stable"
     model: FiniteStructure
     oracle: IndependenceOracle
+
+    @cached_property
+    def records(self) -> tuple:
+        """ElementRecord per element, sorted by element."""
+        o, m = self.oracle, self.model
+        records = {}
+        earlier: list = []
+        for idx, layer in enumerate(self.layers):
+            seen: dict = {}
+            for a in layer:
+                b = tuple(sorted(o.base(a, earlier)))
+                key_type = qf_type(m, (a,) + b)
+                k = seen.get((b, key_type), 0)
+                seen[(b, key_type)] = k + 1
+                records[a] = ElementRecord(a, idx, b, key_type, k)
+            earlier.extend(layer)
+            earlier.sort()
+        return tuple(records[a] for a in sorted(records))
 
     @cached_property
     def _by_element(self) -> dict:
@@ -291,22 +304,6 @@ class Decomposition:
         return tuple(
             sorted(x for layer in self.layers[:layer_index] for x in layer)
         )
-
-
-def _records_for(o: IndependenceOracle, m: FiniteStructure, layers) -> tuple:
-    records = {}
-    earlier: list = []
-    for idx, layer in enumerate(layers):
-        seen: dict = {}
-        for a in layer:
-            b = tuple(sorted(o.base(a, earlier)))
-            key_type = qf_type(m, (a,) + b)
-            k = seen.get((b, key_type), 0)
-            seen[(b, key_type)] = k + 1
-            records[a] = ElementRecord(a, idx, b, key_type, k)
-        earlier.extend(layer)
-        earlier.sort()
-    return tuple(records[a] for a in sorted(records))
 
 
 def _max_indiscernible(m: FiniteStructure) -> tuple:
@@ -369,7 +366,7 @@ def build_sid(o: IndependenceOracle, m: FiniteStructure, mode: str = "omega_stab
         for a in sorted(remaining):
             trial = layer + [a]
             if mode == "generic":
-                ok = check_strongly_independent(o, m, trial, below)
+                ok = check_strongly_independent(o, trial, below)
             else:
                 ok = all(
                     o.unique_nonforking(
@@ -388,13 +385,7 @@ def build_sid(o: IndependenceOracle, m: FiniteStructure, mode: str = "omega_stab
         layers.append(tuple(layer))
         remaining -= set(layer)
         below = sorted(set(below) | set(layer))
-    return Decomposition(
-        layers=tuple(layers),
-        records=_records_for(o, m, layers),
-        mode=mode,
-        model=m,
-        oracle=o,
-    )
+    return Decomposition(layers=tuple(layers), mode=mode, model=m, oracle=o)
 
 
 def verify_decomposition(d: Decomposition) -> list:
@@ -416,7 +407,7 @@ def verify_decomposition(d: Decomposition) -> list:
         return out
     if d.mode == "generic":
         for idx, layer in enumerate(d.layers):
-            if not check_strongly_independent(o, m, set(layer), set(d.below(idx))):
+            if not check_strongly_independent(o, set(layer), set(d.below(idx))):
                 out.append(f"layer {idx} is not strongly independent over its predecessors")
         return out
     first = d.layers[0] if d.layers else ()
@@ -435,52 +426,14 @@ def verify_decomposition(d: Decomposition) -> list:
     return out
 
 
-def refine_decomposition(d: Decomposition, new_layers) -> Decomposition:
-    """Replace the layers by an order-preserving refinement: every new part
-    sits inside one old layer, and parts inherited from earlier old layers
-    precede parts from later ones.  Records are rebuilt against the new
-    layer boundaries."""
-    new_layers = tuple(tuple(sorted(part)) for part in new_layers)
-    old_index = {}
-    for idx, layer in enumerate(d.layers):
-        for a in layer:
-            old_index[a] = idx
-    flat = [a for part in new_layers for a in part]
-    if sorted(flat) != sorted(old_index):
-        raise ValueError("refinement must partition the same universe")
-    if len(set(flat)) != len(flat):
-        raise ValueError("refinement parts overlap")
-    homes = []
-    for part in new_layers:
-        if not part:
-            raise ValueError("empty refinement part")
-        owners = {old_index[a] for a in part}
-        if len(owners) != 1:
-            raise ValueError(f"part {part} crosses old layer boundaries")
-        homes.append(owners.pop())
-    if homes != sorted(homes):
-        raise ValueError("refinement does not preserve the layer order")
-    refined = Decomposition(
-        layers=new_layers,
-        records=_records_for(d.oracle, d.model, new_layers),
-        mode=d.mode,
-        model=d.model,
-        oracle=d.oracle,
-    )
-    problems = verify_decomposition(refined)
-    if problems:
-        raise ValueError("refinement breaks the layer conditions: " + "; ".join(problems))
-    return refined
-
-
 def singleton_prefix(d: Decomposition) -> Decomposition:
     """The minimal order-preserving refinement whose first two layers are
-    singletons, as the layer builder requires."""
-    layers = [tuple(layer) for layer in d.layers]
+    singletons, as the layer builder requires.  Records are rebuilt against
+    the new layer boundaries, which must still meet the layer conditions."""
+    layers = d.layers
     if len(layers) >= 2 and len(layers[0]) == 1 and len(layers[1]) == 1:
         return d
-    total = sum(len(layer) for layer in layers)
-    if total < 2:
+    if sum(map(len, layers)) < 2:
         raise ValueError("need at least two elements for two singleton layers")
     new_layers: list = []
     for layer in layers:
@@ -494,7 +447,11 @@ def singleton_prefix(d: Decomposition) -> Decomposition:
         rest = layer[cut:]
         if rest:
             new_layers.append(rest)
-    return refine_decomposition(d, new_layers)
+    refined = Decomposition(tuple(new_layers), d.mode, d.model, d.oracle)
+    problems = verify_decomposition(refined)
+    if problems:
+        raise ValueError("refinement breaks the layer conditions: " + "; ".join(problems))
+    return refined
 
 
 def _type_tags(d: Decomposition) -> dict:
@@ -510,11 +467,7 @@ def _type_tags(d: Decomposition) -> dict:
 
 
 def build_term_representation(
-    o: IndependenceOracle,
-    m: FiniteStructure,
-    d: Decomposition,
-    mode: str = "copy_index",
-    max_terms: int = 100_000,
+    d: Decomposition, mode: str = "copy_index", max_terms: int = 100_000
 ) -> RepresentationMap:
     """Map the first layer onto fresh base elements and every later element
     onto a function symbol applied to the images of its base enumeration.
@@ -525,8 +478,6 @@ def build_term_representation(
         raise ValueError(f"unknown mode {mode!r}")
     if d.mode != "omega_stable":
         raise ValueError("needs a decomposition built in omega_stable mode")
-    if d.model != m:
-        raise ValueError("decomposition was built for a different model")
     if not d.layers:
         raise ValueError("empty decomposition")
     tags = _type_tags(d)
@@ -554,21 +505,18 @@ def build_term_representation(
     base = ta.as_structure
     enr = trivial_enrichment(base)
     f = {a: ta.term_id(t) for a, t in term_of.items()}
-    return RepresentationMap.make(m, enr.apply(base), f, carrier=ta, enrichment=enr)
+    return RepresentationMap.make(d.model, enr.apply(base), f, carrier=ta, enrichment=enr)
 
 
-def build_layer_representation(
-    o: IndependenceOracle, m: FiniteStructure, d: Decomposition
-) -> RepresentationMap:
+def build_layer_representation(d: Decomposition) -> RepresentationMap:
     """Identity map into a bare copy of the universe enriched with the
     layers as levels, two parameter functions per level relation, and one
     function enumerating each element's base."""
-    if d.model != m:
-        raise ValueError("decomposition was built for a different model")
     if len(d.layers) < 2 or len(d.layers[0]) != 1 or len(d.layers[1]) != 1:
         raise ValueError(
             "first two layers must be singletons; refine the decomposition first"
         )
+    o, m = d.oracle, d.model
     functions: dict = {}
     star: dict = {}
     for idx, layer in enumerate(d.layers[2:], start=2):

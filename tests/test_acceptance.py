@@ -74,22 +74,19 @@ def decomposition(spec):
 
 def term_rep(spec):
     if spec not in _EX2:
-        m, o = model_oracle(spec)
-        _EX2[spec] = build_term_representation(o, m, decomposition(spec), mode="copy_index")
+        _EX2[spec] = build_term_representation(decomposition(spec), mode="copy_index")
     return _EX2[spec]
 
 
 def layer_rep(spec):
     if spec not in _EX1:
-        m, o = model_oracle(spec)
-        _EX1[spec] = build_layer_representation(o, m, singleton_prefix(decomposition(spec)))
+        _EX1[spec] = build_layer_representation(singleton_prefix(decomposition(spec)))
     return _EX1[spec]
 
 
 def literal_rep():
     spec = TheorySpec.make("eq_rel", classes=3, size=3)
-    m, o = model_oracle(spec)
-    return build_term_representation(o, m, decomposition(spec), mode="literal")
+    return build_term_representation(decomposition(spec), mode="literal")
 
 
 def test_catalog_term_representations_check_clean():
@@ -146,8 +143,7 @@ def test_literal_naming_collapses_on_extra_copies():
 def test_sieve_extracts_indiscernibles_from_nine_classes():
     t0 = time.perf_counter()
     spec = TheorySpec.make("eq_rel", classes=9, size=2)
-    m, o = model_oracle(spec)
-    r = build_term_representation(o, m, decomposition(spec), mode="copy_index")
+    r = build_term_representation(decomposition(spec), mode="copy_index")
     singles = [(2 * i,) for i in range(9)]
     trace = sieve(r, singles, target=9)
     assert len(trace.s3) >= 9, trace.survivor_counts()
@@ -155,7 +151,7 @@ def test_sieve_extracts_indiscernibles_from_nine_classes():
     for u, v in itertools.permutations(trace.s3, 2):
         pa = witness_automorphism(trace, (u,), (v,))
         assert pa.violations(r.target) == []
-    assert verify_indiscernible(m, singles, trace.s3, 3)
+    assert verify_indiscernible(r.source, singles, trace.s3, 3)
     dt = time.perf_counter() - t0
     assert dt < 60.0, dt
     print(

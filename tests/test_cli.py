@@ -9,8 +9,7 @@ import sys
 import pytest
 
 from repsieve import TheorySpec, Workspace, save_workspace
-from repsieve.cli import parse_report, render_report, run_command
-from repsieve.sunflower import SunflowerCertificate
+from repsieve.cli import run_command
 
 from conftest import save_lin4
 
@@ -49,7 +48,7 @@ class TestDemo:
     def test_literal_names_the_collapse(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
         assert run_command(["demo", "eqrel", "--mode", "literal", "--out", out]) == 1
-        doc = parse_report(open(out).read())
+        doc = json.loads(open(out).read())
         assert doc["kind"] == "violation-report"
         assert any(e["a"] == [4, 5] and e["b"] == [4, 4] for e in doc["entries"])
         assert "(4, 5)" in capsys.readouterr().out
@@ -78,13 +77,17 @@ class TestCheckers:
     def test_ef_delta_accepted(self, ex2_ws):
         assert run_command(["check-representation", ex2_ws, "--delta", "ef:1"]) == 0
 
+    def test_negative_ef_depth_rejected(self, ex2_ws, capsys):
+        assert run_command(["check-representation", ex2_ws, "--delta", "ef:-1"]) == 2
+        assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in capsys.readouterr().err
+
 
 class TestBuilders:
     def test_build_sid_report(self, theories_ws, tmp_path, capsys):
         out = str(tmp_path / "sid.json")
         assert run_command(["build-sid", theories_ws, "--theory", "eq3x3",
                             "--out", out]) == 0
-        doc = parse_report(open(out).read())
+        doc = json.loads(open(out).read())
         assert doc["kind"] == "decomposition"
         assert doc["layers"] == [[0, 1, 2], [3, 6], [4, 5, 7, 8]]
         rec4 = next(r for r in doc["records"] if r["element"] == 4)
@@ -207,7 +210,7 @@ class TestSieve:
         out = str(tmp_path / "trace.json")
         assert run_command(["sieve", ex2_ws, "--tuples", "[[0],[1],[2]]",
                             "--target", "3", "--out", out]) == 0
-        doc = parse_report(open(out).read())
+        doc = json.loads(open(out).read())
         assert doc["kind"] == "sieve-trace"
         assert doc["counts"]["stage3"] == 3
         assert doc["survivors"] == [0, 1, 2]
@@ -217,7 +220,7 @@ class TestSieve:
         out = str(tmp_path / "bn.json")
         assert run_command(["sieve", ex2_ws, "--tuples", "[[0],[3]]",
                             "--out", out]) == 1
-        doc = parse_report(open(out).read())
+        doc = json.loads(open(out).read())
         assert doc["kind"] == "sieve-bottleneck" and doc["stage"] == "stage0"
 
     def test_default_singletons(self, ex2_ws):
@@ -307,7 +310,7 @@ class TestProbe:
         out = str(tmp_path / "probe.json")
         assert run_command(["probe-instability", lin4_ws, "--phi", "lt",
                             "--chain", "0,1,2,3", "--out", out]) == 1
-        doc = parse_report(open(out).read())
+        doc = json.loads(open(out).read())
         assert doc["kind"] == "probe-report"
         assert doc["status"] == "representation_refuted"
         assert doc["pair"] == [0, 1]
@@ -332,6 +335,14 @@ class TestProbe:
                             "--chain", "0"]) == 0
         assert "inconclusive" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("chain", ["0", "0,1,2,3"], ids=["one", "four"])
+    def test_negative_ef_depth_rejected(self, lin4_ws, chain, capsys):
+        assert run_command(["probe-instability", lin4_ws, "--phi", "lt", "--chain", chain,
+                            "--delta", "ef:-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in captured.err
+        assert captured.out == ""
+
 
 class TestStartup:
     def test_import_loads_no_dataclasses_inspect_or_typing(self):
@@ -346,25 +357,26 @@ class TestStartup:
         assert done.stdout.strip() == "[]"
 
 
-class TestReportRoundTrip:
-    def test_parse_rejects_non_reports(self):
-        with pytest.raises(ValueError):
-            parse_report(json.dumps({"hello": 1}))
-        with pytest.raises(ValueError):
-            parse_report("{nope")
+# one command per kind of machine report the CLI writes, with its exit code
+REPORTS = [
+    ("violation-report", ["check-representation", "{ex2}"], 0),
+    ("decomposition", ["build-sid", "{theories}", "--theory", "eq3x3"], 0),
+    ("sieve-trace", ["sieve", "{ex2}", "--tuples", "[[0],[1],[2]]", "--target", "3"], 0),
+    ("sieve-bottleneck", ["sieve", "{ex2}", "--tuples", "[[0],[1]]", "--target", "3"], 1),
+    ("sunflower-certificate", ["delta-system", "--sets", "[[1,2],[3,4],[5,6],[1,3]]"], 0),
+    ("delta-failure", ["delta-system", "--sets", "[[1,2],[1,3]]", "--target", "3"], 1),
+    ("probe-report", ["probe-instability", "{lin4}", "--phi", "lt", "--chain", "0,1,2,3"], 1),
+]
 
-    def test_render_parse_identity(self):
-        cert = SunflowerCertificate(
-            selected=(0, 2, 5),
-            root=frozenset({7}),
-            common_length=3,
-            agree_idx=frozenset({1}),
-            rep_equiv=(frozenset({0}), frozenset({1, 2})),
-            mode="exhaustive",
-        )
-        art = render_report(cert)
-        assert parse_report(art.text) == art.machine
 
-    def test_unknown_result_type(self):
-        with pytest.raises(TypeError):
-            render_report(object())
+@pytest.mark.parametrize("kind, argv, code", REPORTS, ids=[kind for kind, _, _ in REPORTS])
+def test_reports_are_sorted_indented_json(kind, argv, code, theories_ws, ex2_ws, lin4_ws,
+                                          tmp_path, capsys):
+    paths = {"theories": theories_ws, "ex2": ex2_ws, "lin4": lin4_ws}
+    out = tmp_path / "report.json"
+    assert run_command([a.format(**paths) for a in argv] + ["--out", str(out)]) == code
+    assert capsys.readouterr().out.strip()
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert doc["kind"] == kind

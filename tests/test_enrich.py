@@ -55,7 +55,7 @@ class TestApply:
         enriched = two_level().apply(s)
         assert enriched.relation("level:0").tuples == frozenset({(0,), (1,), (2,)})
         assert enriched.relation("level:1").tuples == frozenset((e,) for e in range(3, 9))
-        assert enriched.function("down").as_dict[(5,)] == 2
+        assert {f.name: f for f in enriched.functions}["down"].as_dict[(5,)] == 2
         assert enriched.relation("E") == s.relation("E")
 
     def test_closure_follows_regressive_chain(self):

@@ -228,7 +228,7 @@ class TestTypeEqual:
         assert auto is not None
         assert auto[1] == 4 and auto[2] == 5
         pa = PartialAutomorphism.from_dict(auto)
-        assert pa.is_valid(s)
+        assert pa.violations(s) == []
         assert sorted(auto.values()) == list(range(9))
 
 
@@ -264,7 +264,7 @@ class TestPartialAutomorphisms:
             for dom in itertools.combinations(range(3), k):
                 for img in itertools.permutations(range(3), k):
                     pa = PartialAutomorphism(tuple(zip(dom, img)))
-                    if pa.is_valid(s):
+                    if not pa.violations(s):
                         expected.append(pa.pairs)
         assert set(got) == set(expected)
         assert got == sorted(got, key=lambda p: (len(p), tuple(a for a, _ in p), tuple(b for _, b in p)))
@@ -341,7 +341,7 @@ def test_orbit_equal_implies_qf_equal(st_pair):
 @settings(max_examples=40, deadline=None)
 def test_enumerated_partial_automorphisms_validate(s):
     for pa in partial_automorphisms(s, 2):
-        assert pa.is_valid(s)
+        assert pa.violations(s) == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -159,7 +159,7 @@ class TestWitness:
         # sends the second padded tuple onto the first
         expect = dict(zip(trace.padded[1], trace.padded[0]))
         assert h.as_dict == expect
-        assert h.is_valid(r.target)
+        assert h.violations(r.target) == []
 
     def test_identity_witness(self):
         r = eq_partner_rep(3)
@@ -310,6 +310,12 @@ class TestProbe:
         r = flat_rep(linear(3))
         with pytest.raises(ValueError, match="relation name or a callable"):
             instability_probe(r, 7, [(0,), (1,)])
+
+    @pytest.mark.parametrize("chain", [[(0,)], [(0,), (1,), (2,)]], ids=["one", "three"])
+    def test_malformed_delta_rejected_on_entry(self, chain):
+        r = flat_rep(linear(3))
+        with pytest.raises(ValueError, match="delta must be"):
+            instability_probe(r, "lt", chain, delta=("ef", -1))
 
     def test_empty_chain_rejected(self):
         r = flat_rep(linear(3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,16 @@ class TestBuildTerms:
         with pytest.raises(ValueError, match="exceeds"):
             build_terms(sig(g=2), 3, 2, max_terms=100)
 
+    def test_cap_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds 100000 entries at depth 0"):
+                build_terms(sig(F=1, c=0), 500_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
+
     def test_stabilizes_without_generators(self):
         # no non-nullary symbols: depth bound is irrelevant
         assert len(build_terms(sig(c=0), 3, 5)) == 4
@@ -80,7 +92,9 @@ class TestTermAlgebra:
         assert s.size == 2
         x0, fx0 = Term.of_base(0), Term.app("F", (Term.of_base(0),))
         assert s.relation("app:F").tuples == frozenset({(ta.term_id(x0), ta.term_id(fx0))})
-        assert s.function("sub:F:0").as_dict == {(ta.term_id(fx0),): ta.term_id(x0)}
+        (sub,) = s.functions
+        assert sub.name == "sub:F:0"
+        assert sub.as_dict == {(ta.term_id(fx0),): ta.term_id(x0)}
 
     def test_closure_is_subterm_closure_only(self):
         ta = TermAlgebra.build(sig(F=1), 1, 2)

@@ -24,7 +24,6 @@ from repsieve.theories import (
     check_strongly_independent,
     desk_model,
     nested_class_oracle,
-    refine_decomposition,
     singleton_prefix,
     theory_oracle,
     verify_decomposition,
@@ -149,24 +148,24 @@ class TestOracle:
 class TestStrongIndependence:
     def test_generic_pair_over_first_class(self):
         m, o = eq3x3()
-        assert check_strongly_independent(o, m, {3, 6}, {0, 1, 2})
+        assert check_strongly_independent(o, {3, 6}, {0, 1, 2})
 
     def test_classmates_fail_without_anchor(self):
         m, o = eq3x3()
-        assert not check_strongly_independent(o, m, {3, 4}, {0, 1, 2})
+        assert not check_strongly_independent(o, {3, 4}, {0, 1, 2})
 
     def test_empty_set_is_independent(self):
         m, o = eq3x3()
-        assert check_strongly_independent(o, m, set(), {0, 1})
+        assert check_strongly_independent(o, set(), {0, 1})
 
     def test_overlap_rejected(self):
         m, o = eq3x3()
         with pytest.raises(ValueError):
-            check_strongly_independent(o, m, {0, 3}, {0})
+            check_strongly_independent(o, {0, 3}, {0})
 
     def test_anchored_classmates_pass(self):
         m, o = eq3x3()
-        assert check_strongly_independent(o, m, {4, 5}, {0, 1, 2, 3, 6})
+        assert check_strongly_independent(o, {4, 5}, {0, 1, 2, 3, 6})
 
 
 class TestUniquenessCrossCheck:
@@ -370,39 +369,6 @@ class TestBuildSid:
 
 
 class TestRefine:
-    def test_trivial_refinement_identical(self):
-        m, o = eq3x3()
-        d = build_sid(o, m)
-        d2 = refine_decomposition(d, list(d.layers))
-        assert d2.layers == d.layers and d2.records == d.records
-
-    def test_split_last_layer(self):
-        m, o = eq3x3()
-        d = build_sid(o, m)
-        d2 = refine_decomposition(d, [(0, 1, 2), (3, 6), (4, 5), (7, 8)])
-        assert d2.layers == ((0, 1, 2), (3, 6), (4, 5), (7, 8))
-        assert verify_decomposition(d2) == []
-
-    def test_order_violation_rejected(self):
-        m, o = eq3x3()
-        d = build_sid(o, m)
-        with pytest.raises(ValueError):
-            refine_decomposition(d, [(0, 1, 2), (7,), (3, 6), (4, 5, 8)])
-
-    def test_crossing_part_rejected(self):
-        m, o = eq3x3()
-        d = build_sid(o, m)
-        with pytest.raises(ValueError):
-            refine_decomposition(d, [(0, 1, 2), (3, 6, 4), (5, 7, 8)])
-
-    def test_partition_enforced(self):
-        m, o = eq3x3()
-        d = build_sid(o, m)
-        with pytest.raises(ValueError):
-            refine_decomposition(d, [(0, 1, 2), (3, 6), (4, 5, 7)])
-        with pytest.raises(ValueError):
-            refine_decomposition(d, [(0, 1, 2), (3, 6), (4, 5, 7, 8), ()])
-
     def test_singleton_prefix_shapes(self):
         m, o = eq3x3()
         d = singleton_prefix(build_sid(o, m))
@@ -440,7 +406,7 @@ class TestTermRepresentation:
     def test_eq3x3_assignments(self):
         m, o = eq3x3()
         d = build_sid(o, m)
-        r = build_term_representation(o, m, d)
+        r = build_term_representation(d)
         ta = r.carrier
         want = {
             0: Term.of_base(0),
@@ -458,13 +424,13 @@ class TestTermRepresentation:
 
     def test_eq3x3_checks_clean(self):
         m, o = eq3x3()
-        r = build_term_representation(o, m, build_sid(o, m))
+        r = build_term_representation(build_sid(o, m))
         report = check_representation(r, LEN3)
         assert report.empty and report.checked > 300
 
     def test_literal_mode_collapses_siblings(self):
         m, o = eq3x3()
-        r = build_term_representation(o, m, build_sid(o, m), "literal")
+        r = build_term_representation(build_sid(o, m), "literal")
         assert r.f[4] == r.f[5]
         report = check_representation(r, LEN3)
         assert not report.empty
@@ -472,7 +438,7 @@ class TestTermRepresentation:
 
     def test_nested_assignments(self):
         m, o = nested222()
-        r = build_term_representation(o, m, build_sid(o, m))
+        r = build_term_representation(build_sid(o, m))
         ta = r.carrier
         x0, x1 = Term.of_base(0), Term.of_base(1)
         f2 = term_f("t1", 0, x0)
@@ -494,14 +460,14 @@ class TestTermRepresentation:
 
     def test_partner_symbol_shared(self):
         m, o = catalog("eq_rel", classes=9, size=2)
-        r = build_term_representation(o, m, build_sid(o, m))
+        r = build_term_representation(build_sid(o, m))
         ta = r.carrier
         syms = {ta.term(r.f[a]).sym for a in range(1, 18, 2)}
         assert syms == {"F[t1,0]"}
 
     def test_pure_set_is_a_bijection(self):
         m, o = catalog("pure_set", n=6)
-        r = build_term_representation(o, m, build_sid(o, m))
+        r = build_term_representation(build_sid(o, m))
         assert sorted(r.f) == list(range(6))
         assert not r.carrier.signature.arities
 
@@ -509,26 +475,19 @@ class TestTermRepresentation:
         m, o = eq3x3()
         d = build_sid(o, m, "generic")
         with pytest.raises(ValueError):
-            build_term_representation(o, m, d)
-
-    def test_wrong_model_rejected(self):
-        m, o = eq3x3()
-        d = build_sid(o, m)
-        other = desk_model(TheorySpec.make("pure_set", n=9))
-        with pytest.raises(ValueError):
-            build_term_representation(o, other, d)
+            build_term_representation(d)
 
     def test_term_table_overflow(self):
         m, o = eq3x3()
         d = build_sid(o, m)
         with pytest.raises(ValueError):
-            build_term_representation(o, m, d, max_terms=5)
+            build_term_representation(d, max_terms=5)
 
     def test_deterministic(self):
         m, o = nested222()
         d = build_sid(o, m)
-        r1 = build_term_representation(o, m, d)
-        r2 = build_term_representation(o, m, d)
+        r1 = build_term_representation(d)
+        r2 = build_term_representation(d)
         assert r1.f == r2.f
         assert r1.carrier.terms == r2.carrier.terms
 
@@ -537,7 +496,7 @@ class TestLayerRepresentation:
     def test_eq3x3_functions(self):
         m, o = eq3x3()
         d = singleton_prefix(build_sid(o, m))
-        r = build_layer_representation(o, m, d)
+        r = build_layer_representation(d)
         fns = {f.name: {a: v for (a,), v in f.as_dict.items()} for f in r.enrichment.functions}
         assert fns["F[E,0]"] == {2: 0, 3: 0, 4: 3, 5: 3, 6: 0, 7: 6, 8: 6}
         assert fns["F[E,1]"] == {2: 0, 3: 1, 4: 3, 5: 3, 6: 1, 7: 6, 8: 6}
@@ -549,19 +508,19 @@ class TestLayerRepresentation:
 
     def test_eq3x3_checks_clean(self):
         m, o = eq3x3()
-        r = build_layer_representation(o, m, singleton_prefix(build_sid(o, m)))
+        r = build_layer_representation(singleton_prefix(build_sid(o, m)))
         assert validate_enrichment(FiniteStructure.make(9), r.enrichment) == []
         report = check_representation(r, LEN3)
         assert report.empty and report.checked > 400
 
     def test_nested_checks_clean(self):
         m, o = nested222()
-        r = build_layer_representation(o, m, singleton_prefix(build_sid(o, m)))
+        r = build_layer_representation(singleton_prefix(build_sid(o, m)))
         assert check_representation(r, LEN3).empty
 
     def test_pure_set_has_no_functions(self):
         m, o = catalog("pure_set", n=6)
-        r = build_layer_representation(o, m, singleton_prefix(build_sid(o, m)))
+        r = build_layer_representation(singleton_prefix(build_sid(o, m)))
         assert r.enrichment.functions == ()
         assert check_representation(r, LEN3).empty
 
@@ -569,14 +528,7 @@ class TestLayerRepresentation:
         m, o = eq3x3()
         d = build_sid(o, m)
         with pytest.raises(ValueError):
-            build_layer_representation(o, m, d)
-
-    def test_wrong_model_rejected(self):
-        m, o = eq3x3()
-        d = singleton_prefix(build_sid(o, m))
-        other = desk_model(TheorySpec.make("pure_set", n=9))
-        with pytest.raises(ValueError):
-            build_layer_representation(o, other, d)
+            build_layer_representation(d)
 
 
 SMALL_SPECS = [
@@ -613,7 +565,7 @@ def test_decompositions_are_sound(pick, mode):
 def test_term_builds_represent(pick):
     tag, kw = pick
     m, o = catalog(tag, **kw)
-    r = build_term_representation(o, m, build_sid(o, m))
+    r = build_term_representation(build_sid(o, m))
     assert check_representation(r, CheckerPolicy(max_tuple_len=2)).empty
 
 
@@ -622,5 +574,5 @@ def test_term_builds_represent(pick):
 def test_layer_builds_represent(pick):
     tag, kw = pick
     m, o = catalog(tag, **kw)
-    r = build_layer_representation(o, m, singleton_prefix(build_sid(o, m)))
+    r = build_layer_representation(singleton_prefix(build_sid(o, m)))
     assert check_representation(r, CheckerPolicy(max_tuple_len=2)).empty

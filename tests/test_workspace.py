@@ -29,8 +29,8 @@ def built_reps(tag, **params):
     m = desk_model(spec)
     o = theory_oracle(spec, m)
     d = build_sid(o, m)
-    ex2 = build_term_representation(o, m, d)
-    ex1 = build_layer_representation(o, m, singleton_prefix(d))
+    ex2 = build_term_representation(d)
+    ex1 = build_layer_representation(singleton_prefix(d))
     return spec, ex2, ex1
 
 
