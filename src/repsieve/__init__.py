@@ -29,7 +29,6 @@ from repsieve.enrich import Enrichment, trivial_enrichment, validate_enrichment
 from repsieve.represent import (
     CheckerPolicy,
     RepresentationMap,
-    ViolationEntry,
     ViolationReport,
     check_by_partial_automorphisms,
     check_representation,

@@ -63,34 +63,41 @@ def _delta_str(delta) -> str:
     return delta if delta == "orbit" else f"ef:{delta[1]}"
 
 
-def _violation_artifact(rep: ViolationReport) -> tuple:
+_SEPARATION = {
+    "tuple-comparison": "images share a qf type but source types differ under {}",
+    "partial-automorphism": (
+        "a partial automorphism with closed domain and range "
+        "matches the images but source types differ under {}"
+    ),
+}
+
+
+def _violation_artifact(r: RepresentationMap, rep: ViolationReport) -> tuple:
+    separation = _SEPARATION[rep.checker].format(rep.delta)
+    entries = [(a, b, r.image(a), r.image(b)) for a, b in rep.entries]
     machine = {
         "kind": "violation-report",
         "checker": rep.checker,
         "delta": _delta_str(rep.delta),
         "max_tuple_len": rep.max_tuple_len,
         "checked": rep.checked,
-        "params": {k: v for k, v in rep.params},
         "entries": [
             {
-                "a": list(e.a),
-                "b": list(e.b),
-                "image_a": list(e.image_a),
-                "image_b": list(e.image_b),
-                "separation": e.separation,
+                "a": list(a),
+                "b": list(b),
+                "image_a": list(image_a),
+                "image_b": list(image_b),
+                "separation": separation,
             }
-            for e in rep.entries
+            for a, b, image_a, image_b in entries
         ],
     }
     if rep.empty:
         human = f"OK, {rep.checked} tuple-pairs checked"
     else:
         lines = [f"{len(rep.entries)} violations in {rep.checked} tuple-pairs:"]
-        for e in rep.entries:
-            lines.append(
-                f"  {tuple(e.a)} vs {tuple(e.b)}: {e.separation}; "
-                f"images {tuple(e.image_a)} / {tuple(e.image_b)}"
-            )
+        for a, b, image_a, image_b in entries:
+            lines.append(f"  {a} vs {b}: {separation}; images {image_a} / {image_b}")
         human = "\n".join(lines)
     return human, machine
 
@@ -302,15 +309,15 @@ def _cmd_check_representation(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
     report = check_representation(r, _policy(args))
-    _emit(args, *_violation_artifact(report))
+    _emit(args, *_violation_artifact(r, report))
     return 0 if report.empty else 1
 
 
 def _cmd_check_fact14(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
-    report = check_by_partial_automorphisms(r, _policy(args), max_domain=args.max_domain)
-    _emit(args, *_violation_artifact(report))
+    report = check_by_partial_automorphisms(r, _policy(args))
+    _emit(args, *_violation_artifact(r, report))
     return 0 if report.empty else 1
 
 
@@ -466,7 +473,7 @@ def _cmd_demo(args) -> int:
     r = build_term_representation(d, args.mode.replace("-", "_"))
     print(_representation_text(r))
     report = check_representation(r, _policy(args))
-    _emit(args, *_violation_artifact(report))
+    _emit(args, *_violation_artifact(r, report))
     return 0 if report.empty else 1
 
 
@@ -492,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-fact14", help="partial-automorphism checker")
     p.add_argument("workspace")
     p.add_argument("--rep")
-    p.add_argument("--max-domain", type=int, default=8)
     _add_checker_flags(p)
     p.set_defaults(fn=_cmd_check_fact14)
 

@@ -636,6 +636,22 @@ class OrbitEngine:
         return None
 
 
+def _check_delta(delta) -> None:
+    """Reject a type policy other than ``"orbit"`` or ``("ef", d)`` with
+    ``d`` an int >= 0 (a bool is not a depth)."""
+    if delta == "orbit":
+        return
+    if not (
+        isinstance(delta, tuple)
+        and len(delta) == 2
+        and delta[0] == "ef"
+        and isinstance(delta[1], int)
+        and not isinstance(delta[1], bool)
+        and delta[1] >= 0
+    ):
+        raise ValueError(f"delta must be 'orbit' or ('ef', d), got {delta!r}")
+
+
 def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy="orbit") -> bool:
     """Full-type equality of two tuples of ``s``.
 
@@ -646,9 +662,8 @@ def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy=
         raise ValueError("tuples must have equal length")
     if policy == "orbit":
         return s.orbits.equal(t1, t2)
-    tag, d = policy
-    if tag != "ef" or d < 0:
-        raise ValueError(f"unknown type policy {policy!r}")
+    _check_delta(policy)
+    d = policy[1]
     # an automorphism sending t1 to t2 wins the game at every depth, so the
     # game is played only between tuples in different orbits
     return s.orbits.equal(t1, t2) or _ef_equal(s, t1, t2, d)

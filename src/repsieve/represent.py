@@ -13,8 +13,7 @@ all tuples up to a length bound:
     enumerates function-closed subsets of the range together with the
     partial automorphisms of the carrier defined on them (domain and
     range both closed), and checks every pair of source tuples such a
-    map matches up.  On inputs where both run within their bounds the
-    two checkers accept exactly the same maps.
+    map matches up.  The two checkers accept exactly the same maps.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from repsieve._record import record
 from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
     FiniteStructure,
+    _check_delta,
     _generated_maps,
     qf_closure,
     type_equal,
@@ -36,7 +36,6 @@ from repsieve.termalg import TermAlgebra
 __all__ = [
     "RepresentationMap",
     "CheckerPolicy",
-    "ViolationEntry",
     "ViolationReport",
     "check_representation",
     "check_by_partial_automorphisms",
@@ -101,40 +100,25 @@ class CheckerPolicy:
     def __post_init__(self):
         if self.max_tuple_len < 1:
             raise ValueError("max_tuple_len must be >= 1")
-        if self.delta != "orbit":
-            if not (
-                isinstance(self.delta, tuple)
-                and len(self.delta) == 2
-                and self.delta[0] == "ef"
-                and isinstance(self.delta[1], int)
-                and self.delta[1] >= 0
-            ):
-                raise ValueError(f"delta must be 'orbit' or ('ef', d), got {self.delta!r}")
+        _check_delta(self.delta)
 
-
-@record()
-class ViolationEntry:
-    a: tuple
-    b: tuple
-    image_a: tuple
-    image_b: tuple
-    separation: str
 
 @record()
 class ViolationReport:
+    """``entries`` are the violating pairs ``(a, b)`` of source tuples:
+    their images share a qf type (``check_representation``) or are matched
+    by a partial automorphism (``check_by_partial_automorphisms``), and
+    their source types differ."""
+
     checker: str
     delta: object
     max_tuple_len: int
     entries: tuple = ()
     checked: int = 0
-    params: tuple = ()  # extra (name, value) pairs, checker-specific
 
     @property
     def empty(self) -> bool:
         return not self.entries
-
-    def pairs(self) -> list:
-        return [(e.a, e.b) for e in self.entries]
 
 
 def _reject_degenerate(source: FiniteStructure, policy: CheckerPolicy):
@@ -182,15 +166,7 @@ def check_representation(
                     continue
                 checked += 1
                 if not type_equal(r.source, t, rep, policy.delta):
-                    entries.append(
-                        ViolationEntry(
-                            a=t,
-                            b=rep,
-                            image_a=r.image(t),
-                            image_b=r.image(rep),
-                            separation=f"images share a qf type but source types differ under {policy.delta}",
-                        )
-                    )
+                    entries.append((t, rep))
     return ViolationReport(
         checker="tuple-comparison",
         delta=policy.delta,
@@ -203,7 +179,6 @@ def check_representation(
 def check_by_partial_automorphisms(
     r: RepresentationMap,
     policy: CheckerPolicy = CheckerPolicy(),
-    max_domain: int = 8,
 ) -> ViolationReport:
     """Partial-automorphism checker.
 
@@ -212,8 +187,7 @@ def check_by_partial_automorphisms(
     of the target with domain U and function-closed range.  Whenever such
     a map sends the image of one source tuple onto the image of another,
     the two source tuples must be type-equal; otherwise the pair is
-    reported.  ``max_domain`` must dominate every such closure size, else
-    the search would be inconclusive and is rejected.
+    reported.
 
     U is generated by those image elements, so a map on U is fixed by
     their images: ``_generated_maps`` chooses images for generators only
@@ -228,19 +202,6 @@ def check_by_partial_automorphisms(
     _validated(r)
     _reject_degenerate(r.source, policy)
     rng = sorted(set(r.f))
-    biggest = max(
-        (
-            len(qf_closure(r.target, combo))
-            for k in range(1, policy.max_tuple_len + 1)
-            for combo in itertools.combinations(rng, k)
-        ),
-        default=0,
-    )
-    if biggest > max_domain:
-        raise ValueError(
-            f"max_domain={max_domain} is below the largest image closure ({biggest}); "
-            "the search would be inconclusive"
-        )
     # each source tuple, grouped by the sorted set of its image's elements
     by_generators: dict = {}
     for length in range(1, policy.max_tuple_len + 1):
@@ -268,24 +229,12 @@ def check_by_partial_automorphisms(
                     continue
                 for b in itertools.product(*fiber_sets):
                     if not type_equal(r.source, t, b, policy.delta):
-                        entries.append(
-                            ViolationEntry(
-                                a=t,
-                                b=b,
-                                image_a=img,
-                                image_b=mapped,
-                                separation=(
-                                    "a partial automorphism with closed domain and range "
-                                    f"matches the images but source types differ under {policy.delta}"
-                                ),
-                            )
-                        )
-    entries.sort(key=lambda e: (len(e.a), e.a, e.b))
+                        entries.append((t, b))
+    entries.sort(key=lambda e: (len(e[0]), e))
     return ViolationReport(
         checker="partial-automorphism",
         delta=policy.delta,
         max_tuple_len=policy.max_tuple_len,
         entries=tuple(entries),
         checked=checked,
-        params=(("max_domain", max_domain),),
     )

@@ -82,18 +82,6 @@ class SieveTrace:
     certificate: SunflowerCertificate  # over the chosen group's padded tuples
     s3: tuple  # surviving input indices
 
-    @property
-    def agree_idx(self) -> frozenset:
-        return self.certificate.agree_idx
-
-    @property
-    def rep_equiv(self) -> tuple:
-        return self.certificate.rep_equiv
-
-    @property
-    def root(self) -> frozenset:
-        return self.certificate.root
-
     def survivor_counts(self) -> dict:
         return {
             "input": len(self.tuples),

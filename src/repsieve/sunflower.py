@@ -205,21 +205,22 @@ def validate_sunflower(family: Sequence[Sequence], cert: SunflowerCertificate) -
         at_agree = {s[p] for p in cert.agree_idx}
         if at_agree != set(cert.root):
             out.append(f"values of {i} at the agreement positions are {sorted(at_agree)}, not the root")
-    pair_of = {}
     all_positions = [p for cls in cert.rep_equiv for p in cls]
-    for cls in cert.rep_equiv:
-        for p in cls:
-            pair_of[p] = cls
     if sorted(all_positions) != list(range(cert.common_length)):
         out.append("repetition partition does not cover the positions exactly")
         return out
+    # the partition covers the positions exactly, so a sequence matches it
+    # when each of its value classes is one of its classes
+    classes = {tuple(sorted(cls)) for cls in cert.rep_equiv}
     for i, s in zip(cert.selected, sel):
-        for p, q in itertools.combinations(range(cert.common_length), 2):
-            same_cls = pair_of[p] is pair_of[q]
-            if (s[p] == s[q]) != same_cls:
+        by_value: dict = {}
+        for p, v in enumerate(s):
+            by_value.setdefault(v, []).append(p)
+        for v, ps in by_value.items():
+            if tuple(ps) not in classes:
                 out.append(
-                    f"sequence {i}: positions {p},{q} "
-                    f"{'agree' if s[p] == s[q] else 'differ'} but the partition says otherwise"
+                    f"sequence {i}: the positions holding {v!r} are not a class "
+                    "of the repetition partition"
                 )
                 return out
     return out

@@ -80,7 +80,7 @@ def validate_trace(trace) -> list:
     if trace.s3 != expect_s3:
         out.append("survivor list does not match the certificate's selection")
     # cross-tuple equalities may only happen at agreement positions
-    u = trace.agree_idx
+    u = trace.certificate.agree_idx
     for a, b in itertools.combinations(trace.s3, 2):
         for i, x in enumerate(trace.padded[a]):
             for j, y in enumerate(trace.padded[b]):

@@ -71,7 +71,7 @@ class TestCheckers:
         assert "OK, 397" in capsys.readouterr().out
 
     def test_check_fact14_agrees(self, ex2_ws, capsys):
-        assert run_command(["check-fact14", ex2_ws, "--max-domain", "6"]) == 0
+        assert run_command(["check-fact14", ex2_ws]) == 0
         assert "OK," in capsys.readouterr().out
 
     def test_ef_delta_accepted(self, ex2_ws):

@@ -85,8 +85,7 @@ class TestCheckRepresentation:
         r = one_per_class_rep(False)
         report = check_representation(r, CheckerPolicy(max_tuple_len=2))
         assert not report.empty
-        assert report.entries[0].a == (1, 2)
-        assert report.entries[0].b == (1, 1)
+        assert report.entries[0] == ((1, 2), (1, 1))
 
     def test_deterministic(self):
         r = one_per_class_rep(False)
@@ -96,10 +95,10 @@ class TestCheckRepresentation:
     def test_entries_revalidate_and_are_symmetric(self):
         r = one_per_class_rep(False)
         report = check_representation(r, CheckerPolicy(max_tuple_len=2))
-        for e in report.entries:
-            assert qf_type(r.target, e.image_a) == qf_type(r.target, e.image_b)
-            assert not type_equal(r.source, e.a, e.b)
-            assert not type_equal(r.source, e.b, e.a)
+        for a, b in report.entries:
+            assert qf_type(r.target, r.image(a)) == qf_type(r.target, r.image(b))
+            assert not type_equal(r.source, a, b)
+            assert not type_equal(r.source, b, a)
 
     def test_ef_policy_degenerate_depth_rejected(self):
         r = one_per_class_rep(True)
@@ -119,32 +118,40 @@ class TestCheckRepresentation:
             CheckerPolicy(delta="everything")
 
 
+@pytest.mark.parametrize(
+    "delta",
+    [("ef", 1.5), ("ef", True), ["ef", 1], ("ef", 2, 3)],
+    ids=["float", "bool", "list", "three"],
+)
+def test_malformed_delta_rejected_by_both_callers(delta):
+    message = r"delta must be 'orbit' or \('ef', d\), got"
+    with pytest.raises(ValueError, match=message):
+        type_equal(FiniteStructure.make(3), (0,), (1,), delta)
+    with pytest.raises(ValueError, match=message):
+        CheckerPolicy(delta=delta)
+
+
 class TestCheckByPartialAutomorphisms:
     def test_linear_order_into_pure_set_refuted(self):
         src = linear(4)
         r = RepresentationMap.make(src, pure_target(4), list(range(4)))
-        report = check_by_partial_automorphisms(r, CheckerPolicy(max_tuple_len=2), max_domain=2)
+        report = check_by_partial_automorphisms(r, CheckerPolicy(max_tuple_len=2))
         assert not report.empty
-        assert ((0, 1), (1, 0)) in report.pairs()
+        assert ((0, 1), (1, 0)) in report.entries
         direct = check_representation(r, CheckerPolicy(max_tuple_len=2))
         assert not direct.empty
 
     def test_valid_rep_empty_both_ways(self):
         r = one_per_class_rep(True)
         p = CheckerPolicy(max_tuple_len=2)
-        assert check_by_partial_automorphisms(r, p, max_domain=4).empty
+        assert check_by_partial_automorphisms(r, p).empty
         assert check_representation(r, p).empty
 
     def test_collapsed_rep_nonempty_both_ways(self):
         r = one_per_class_rep(False)
         p = CheckerPolicy(max_tuple_len=2)
-        assert not check_by_partial_automorphisms(r, p, max_domain=4).empty
+        assert not check_by_partial_automorphisms(r, p).empty
         assert not check_representation(r, p).empty
-
-    def test_too_small_max_domain_rejected(self):
-        r = one_per_class_rep(True)
-        with pytest.raises(ValueError, match="inconclusive"):
-            check_by_partial_automorphisms(r, CheckerPolicy(max_tuple_len=2), max_domain=1)
 
 
 @given(st.integers(2, 5), st.data())
@@ -156,7 +163,7 @@ def test_pure_set_maps_valid_iff_injective(n, data):
     r = RepresentationMap.make(src, pure_target(m), f)
     p = CheckerPolicy(max_tuple_len=2)
     direct = check_representation(r, p)
-    via_pa = check_by_partial_automorphisms(r, p, max_domain=2)
+    via_pa = check_by_partial_automorphisms(r, p)
     injective = len(set(f)) == n
     assert direct.empty == injective
     assert via_pa.empty == injective

@@ -63,8 +63,8 @@ class TestSieve:
         trace = sieve(r, tuples)
         assert trace.s3 == tuple(range(9))
         assert trace.xi == 2
-        assert trace.root == frozenset()
-        assert trace.agree_idx == frozenset()
+        assert trace.certificate.root == frozenset()
+        assert trace.certificate.agree_idx == frozenset()
         assert validate_trace(trace) == []
 
     def test_padding_appends_subterm(self):
@@ -126,8 +126,8 @@ class TestSieve:
         r = flat_rep(FiniteStructure.make(3))
         trace = sieve(r, [(0, 2), (0, 2), (0, 2)])
         assert trace.s3 == (0, 1, 2)
-        assert trace.root == frozenset({0, 2})
-        assert trace.agree_idx == frozenset({0, 1})
+        assert trace.certificate.root == frozenset({0, 2})
+        assert trace.certificate.agree_idx == frozenset({0, 1})
 
     def test_needs_term_carrier(self):
         src = eq3x3()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,22 @@ class TestValidator:
             ((0, 1),), cert.mode,
         )
         assert validate_sunflower(fam, bad)
+
+    def test_long_sequences_validate_in_linear_time(self):
+        rng = random.Random(0)
+        fam = [tuple(rng.sample(range(10**9), 8000)) for _ in range(2)]
+        cert = delta_system(fam, target=2)
+        t0 = time.perf_counter()
+        assert validate_sunflower(fam, cert) == []
+        assert time.perf_counter() - t0 < 1.0
+        merged = ((0, 1),) + cert.rep_equiv[2:]
+        bad = SunflowerCertificate(
+            cert.selected, cert.root, cert.common_length, cert.agree_idx, merged, cert.mode,
+        )
+        assert validate_sunflower(fam, bad) == [
+            f"sequence {cert.selected[0]}: the positions holding {fam[0][0]!r} are not "
+            "a class of the repetition partition"
+        ]
 
     def test_rejects_out_of_range_index(self):
         fam = [(1, 2), (1, 3)]

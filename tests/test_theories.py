@@ -434,7 +434,7 @@ class TestTermRepresentation:
         assert r.f[4] == r.f[5]
         report = check_representation(r, LEN3)
         assert not report.empty
-        assert ((4, 5), (4, 4)) in report.pairs()
+        assert ((4, 5), (4, 4)) in report.entries
 
     def test_nested_assignments(self):
         m, o = nested222()
