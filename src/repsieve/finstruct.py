@@ -395,7 +395,13 @@ def automorphism_extending(s: FiniteStructure, t1: Sequence[int], t2: Sequence[i
 
 
 def _ef_wins(s: FiniteStructure, pos: frozenset, depth: int) -> bool:
-    """The duplicator survives ``depth`` more rounds from a valid position."""
+    """The duplicator survives ``depth`` more rounds from a valid position.
+
+    The spoiler is never made to repeat a placed element: that move leaves
+    the position as it is, and surviving ``depth - 1`` rounds from ``pos``
+    already follows from answering every new move at ``depth - 1``.  So the
+    recursion places one pair per level and goes no deeper than the number
+    of unplaced elements, whatever ``depth`` is."""
     if depth == 0:
         return True
     memo = s._ef_memo
@@ -405,28 +411,24 @@ def _ef_wins(s: FiniteStructure, pos: frozenset, depth: int) -> bool:
     fwd = dict(pos)
     bwd = {b: a for a, b in pos}
     result = True
-    stay = None  # spoiler repeats an already-placed element
     for side in (0, 1):
         dom = fwd if side == 0 else bwd
         for x in range(s.size):
             if x in dom:
-                if stay is None:
-                    stay = _ef_wins(s, pos, depth - 1)
-                ok = stay
-            else:
-                ok = False
-                for c in range(s.size):
-                    if side == 0:
-                        if c in bwd or not _delta_consistent(s, fwd, bwd, x, c):
-                            continue
-                        newpos = pos | {(x, c)}
-                    else:
-                        if c in fwd or not _delta_consistent(s, fwd, bwd, c, x):
-                            continue
-                        newpos = pos | {(c, x)}
-                    if _ef_wins(s, newpos, depth - 1):
-                        ok = True
-                        break
+                continue
+            ok = False
+            for c in range(s.size):
+                if side == 0:
+                    if c in bwd or not _delta_consistent(s, fwd, bwd, x, c):
+                        continue
+                    newpos = pos | {(x, c)}
+                else:
+                    if c in fwd or not _delta_consistent(s, fwd, bwd, c, x):
+                        continue
+                    newpos = pos | {(c, x)}
+                if _ef_wins(s, newpos, depth - 1):
+                    ok = True
+                    break
             if not ok:
                 result = False
                 break

@@ -15,6 +15,10 @@ functions, closure elements appended deterministically):
   under each partial function).
 - stage 3 runs the delta-system search on the largest surviving group.
 
+A map with a term carrier takes its shapes from the carrier.  A map with
+none is sieved when its target has no functions: every element is then a
+base leaf, and the padded image is the image itself.
+
 Survivors pairwise support witness partial automorphisms built purely
 position-wise; the probe exploits exactly that on a chain ordered by a
 formula to refute either the representation or the chain.
@@ -23,11 +27,10 @@ formula to refute either the representation or the chain.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repsieve._record import record
 from repsieve.finstruct import (
-    FiniteStructure,
     PartialAutomorphism,
     qf_closure,
     qf_type,
@@ -39,8 +42,7 @@ from repsieve.sunflower import (
     SunflowerCertificate,
     delta_system,
 )
-from repsieve.termalg import AlgebraSignature, TermAlgebra
-from repsieve.enrich import trivial_enrichment
+from repsieve.termalg import TermAlgebra
 
 __all__ = [
     "SieveBottleneck",
@@ -73,21 +75,33 @@ class SieveBottleneck(Exception):
 class SieveTrace:
     r: RepresentationMap
     tuples: tuple  # source tuples, as given
-    padded: tuple  # per input: image tuple followed by its closure, term ids
-    xi: int  # padded length of the chosen group
+    padded: tuple  # per input: image tuple followed by its closure, target elements
     stage0: tuple  # groups of input indices, largest first
     stage1: tuple
     stage2: tuple
-    chosen: tuple  # the stage2 group handed to the delta-system search
     certificate: SunflowerCertificate  # over the chosen group's padded tuples
-    s3: tuple  # surviving input indices
+
+    @property
+    def chosen(self) -> tuple:
+        """The stage2 group handed to the delta-system search."""
+        return self.stage2[0]
+
+    @property
+    def xi(self) -> int:
+        """Padded length of the chosen group."""
+        return len(self.padded[self.chosen[0]])
+
+    @property
+    def s3(self) -> tuple:
+        """Surviving input indices."""
+        return tuple(self.chosen[k] for k in self.certificate.selected)
 
     def survivor_counts(self) -> dict:
         return {
             "input": len(self.tuples),
-            "stage0": len(self.stage0[0]) if self.stage0 else 0,
-            "stage1": len(self.stage1[0]) if self.stage1 else 0,
-            "stage2": len(self.stage2[0]) if self.stage2 else 0,
+            "stage0": len(self.stage0[0]),
+            "stage1": len(self.stage1[0]),
+            "stage2": len(self.stage2[0]),
             "stage3": len(self.s3),
         }
 
@@ -105,76 +119,55 @@ def _check_in_universe(tuples, n: int, name: str) -> None:
 
 def _padded_image(r: RepresentationMap, t) -> tuple:
     image = r.image(t)
-    closure = qf_closure(r.target, image)
-    seen_in_image = []
-    seen = set()
-    for y in image:
-        if y not in seen:
-            seen.add(y)
-            seen_in_image.append(y)
-    return tuple(image) + tuple(closure[len(seen_in_image):])
+    return image + tuple(qf_closure(r.target, image)[len(set(image)):])
 
 
-def _shape_vector(ta: TermAlgebra, padded) -> tuple:
+def _shape_vector(ta: TermAlgebra | None, padded) -> tuple:
+    """Term shapes of a padded tuple, base leaves numbered on first
+    occurrence; with no carrier every element is a base leaf."""
     varmap: dict = {}
 
     def shape(tid):
-        t = ta.term(tid)
-        if t.is_base:
-            if tid not in varmap:
-                varmap[tid] = len(varmap)
-            return ("v", varmap[tid])
+        t = ta.term(tid) if ta is not None else None
+        if t is None or t.is_base:
+            return ("v", varmap.setdefault(tid, len(varmap)))
         return ("a", t.sym) + tuple(shape(ta.term_id(c)) for c in t.args)
 
     return tuple(shape(i) for i in padded)
 
 
-def _group(indices, key_of) -> list:
+def _group(indices, key_of) -> tuple:
     groups: dict = {}
     for i in indices:
         groups.setdefault(key_of(i), []).append(i)
-    return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[1][0]))
+    return tuple(sorted(map(tuple, groups.values()), key=lambda g: (-len(g), g[0])))
 
 
 def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2) -> SieveTrace:
     """Run the four-stage extraction; raises :class:`SieveBottleneck` naming
     the first stage whose largest group cannot reach ``target``."""
-    if r.carrier is None:
-        raise ValueError("sieve needs a representation over a term carrier")
+    if r.carrier is None and r.target.functions:
+        raise ValueError(
+            "sieve needs a term carrier or a function-free target; this target "
+            "has functions and no carrier"
+        )
     tuples = tuple(tuple(t) for t in tuples)
     if not tuples:
         raise ValueError("need at least one tuple")
     _check_in_universe(tuples, r.source.size, "tuples")
     if target < 2:
         raise ValueError("target must be >= 2")
-    ta = r.carrier
     padded = tuple(_padded_image(r, t) for t in tuples)
-    shapes = {i: _shape_vector(ta, padded[i]) for i in range(len(tuples))}
-    if r.enrichment is not None:
-        level_of = r.enrichment.level_of
-    else:
-        level_of = {e: 0 for e in range(r.target.size)}
-
-    stage0 = _group(range(len(tuples)), lambda i: shapes[i])
-    if len(stage0[0][1]) < target:
-        raise SieveBottleneck("stage0", len(stage0[0][1]), target)
-
-    def r1_of(i):
-        return frozenset(
-            (pos, level_of[tid]) for pos, tid in enumerate(padded[i])
-        )
-
-    stage1 = []
-    for _, members in stage0:
-        stage1.extend(_group(members, r1_of))
-    stage1.sort(key=lambda kv: (-len(kv[1]), kv[1][0]))
-    if len(stage1[0][1]) < target:
-        raise SieveBottleneck("stage1", len(stage1[0][1]), target)
-
+    level_of = r.enrichment.level_of if r.enrichment is not None else {}
     fn_dicts = [(f.name, f.as_dict) for f in r.target.functions]
 
-    def r2_of(i):
-        row = padded[i]
+    def shape(row):
+        return _shape_vector(r.carrier, row)
+
+    def levels(row):
+        return frozenset((pos, level_of.get(tid, 0)) for pos, tid in enumerate(row))
+
+    def function_pattern(row):
         pat = set()
         for name, graph in fn_dicts:
             for z0, tid in enumerate(row):
@@ -186,31 +179,22 @@ def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2
                         pat.add((name, z0, z1))
         return frozenset(pat)
 
-    stage2 = []
-    for _, members in stage1:
-        stage2.extend(_group(members, r2_of))
-    stage2.sort(key=lambda kv: (-len(kv[1]), kv[1][0]))
-    if len(stage2[0][1]) < target:
-        raise SieveBottleneck("stage2", len(stage2[0][1]), target)
+    # each stage refines the last by grouping on a longer key; _group's order
+    # (size, then first member) makes that the same as refining group by group
+    keys = [()] * len(tuples)
+    stages = []
+    for stage, part in (("stage0", shape), ("stage1", levels), ("stage2", function_pattern)):
+        keys = [key + (part(row),) for key, row in zip(keys, padded)]
+        groups = _group(range(len(tuples)), keys.__getitem__)
+        if len(groups[0]) < target:
+            raise SieveBottleneck(stage, len(groups[0]), target)
+        stages.append(groups)
 
-    chosen = tuple(stage2[0][1])
-    family = [padded[i] for i in chosen]
-    outcome = delta_system(family, target)
+    chosen = stages[2][0]
+    outcome = delta_system([padded[i] for i in chosen], target)
     if isinstance(outcome, DeltaSystemFailure):
         raise SieveBottleneck("stage3", len(chosen), target, outcome.inconclusive)
-    s3 = tuple(chosen[k] for k in outcome.selected)
-    return SieveTrace(
-        r=r,
-        tuples=tuples,
-        padded=padded,
-        xi=len(family[0]),
-        stage0=tuple(tuple(m) for _, m in stage0),
-        stage1=tuple(tuple(m) for _, m in stage1),
-        stage2=tuple(tuple(m) for _, m in stage2),
-        chosen=chosen,
-        certificate=outcome,
-        s3=s3,
-    )
+    return SieveTrace(r, tuples, padded, *stages, outcome)
 
 
 def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) -> PartialAutomorphism:
@@ -277,24 +261,6 @@ class ProbeReport:
         return self.status in ("representation_refuted", "chain_refuted")
 
 
-def _lift_to_terms(r: RepresentationMap) -> RepresentationMap:
-    """View a term-free target as a term carrier with no symbols, keeping
-    the target's relations so witness validation still sees them."""
-    if r.target.functions:
-        raise ValueError(
-            "can only lift a function-free target to a term carrier"
-        )
-    ta = TermAlgebra.build(AlgebraSignature.make({}), r.target.size, 0)
-    base = ta.as_structure
-    relations = {rel.name: (rel.arity, rel.tuples) for rel in r.target.relations}
-    relations.update(
-        {rel.name: (rel.arity, rel.tuples) for rel in base.relations}
-    )
-    target = FiniteStructure.make(base.size, relations=relations)
-    enr = trivial_enrichment(target)
-    return RepresentationMap(r.source, enr.apply(target), r.f, carrier=ta, enrichment=enr)
-
-
 def instability_probe(
     r: RepresentationMap,
     phi,
@@ -342,17 +308,16 @@ def instability_probe(
             )
     if len(chain) < 2:
         return ProbeReport(status="inconclusive", detail="chain has fewer than two tuples")
-    lifted = r if r.carrier is not None else _lift_to_terms(r)
     try:
-        trace = sieve(lifted, chain, target=2)
+        trace = sieve(r, chain, target=2)
     except SieveBottleneck as exc:
         return ProbeReport(status="inconclusive", detail=str(exc))
     i, j = sorted(trace.s3)[:2]
     witness_automorphism(trace, (i, j), (j, i))  # raises if ill-formed
     forward = chain[i] + chain[j]
     backward = chain[j] + chain[i]
-    qf_fwd = qf_type(lifted.target, lifted.image(forward))
-    qf_bwd = qf_type(lifted.target, lifted.image(backward))
+    qf_fwd = qf_type(r.target, r.image(forward))
+    qf_bwd = qf_type(r.target, r.image(backward))
     if qf_fwd != qf_bwd:
         return ProbeReport(
             status="inconclusive",

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# largest group packed exhaustively; a larger one is packed greedily
+EXHAUSTIVE_THRESHOLD = 200
+
+
 @record()
 class SunflowerCertificate:
     selected: tuple  # family indices, ascending
@@ -89,18 +93,16 @@ def _exact_pack(candidates, petals, target):
     return None
 
 
-def delta_system(
-    family: Sequence[Sequence], target: int, exhaustive_threshold: int = 200
-):
+def delta_system(family: Sequence[Sequence], target: int):
     """Find a sunflower certificate with at least ``target`` selected members.
 
     Search is layered pigeonhole: group by sequence length, then by the
     repetition partition; within a group, candidate roots are the pairwise
     value-set intersections; sequences containing a candidate root are
     refined by where the root values sit; finally petal-disjoint packing,
-    exhaustive below the group-size threshold and greedy above it.  Returns
-    a :class:`SunflowerCertificate` or a :class:`DeltaSystemFailure` (the
-    latter flagged inconclusive when only greedy packing was attempted).
+    exhaustive up to ``EXHAUSTIVE_THRESHOLD`` members and greedy above it.
+    Returns a :class:`SunflowerCertificate` or a :class:`DeltaSystemFailure`
+    (the latter flagged inconclusive when only greedy packing was attempted).
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -122,7 +124,7 @@ def delta_system(
                     f"target is {target}"
                 )
             continue
-        exhaustive = len(members) <= exhaustive_threshold
+        exhaustive = len(members) <= EXHAUSTIVE_THRESHOLD
         value_sets = {i: frozenset(seqs[i]) for i in members}
         roots = sorted(
             {

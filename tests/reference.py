@@ -3,7 +3,14 @@ because only tests call it."""
 
 import itertools
 
-from repsieve.finstruct import _delta_consistent
+from repsieve import (
+    AlgebraSignature,
+    FiniteStructure,
+    RepresentationMap,
+    TermAlgebra,
+    trivial_enrichment,
+)
+from repsieve.finstruct import _admit_pairs, _delta_consistent
 from repsieve.sieve import _padded_image, _shape_vector
 from repsieve.sunflower import validate_sunflower
 
@@ -29,12 +36,70 @@ def all_extensions(s, domain: tuple):
     yield from rec(0, {}, {})
 
 
+def ef_game_with_repeats(s):
+    """``equal(t1, t2, depth)`` for the EF game on ``s`` in which the
+    spoiler may also repeat a placed element, spending a round and leaving
+    the position as it is.  Its memo is its own, not the structure's."""
+    memo: dict = {}
+
+    def wins(pos, depth):
+        if depth == 0:
+            return True
+        key = (pos, depth)
+        if key in memo:
+            return memo[key]
+        fwd = dict(pos)
+        bwd = {b: a for a, b in pos}
+        result = True
+        for side in (0, 1):
+            dom = fwd if side == 0 else bwd
+            for x in range(s.size):
+                if x in dom:
+                    ok = wins(pos, depth - 1)
+                else:
+                    ok = False
+                    for c in range(s.size):
+                        a, b = (x, c) if side == 0 else (c, x)
+                        if a in fwd or b in bwd or not _delta_consistent(s, fwd, bwd, a, b):
+                            continue
+                        if wins(pos | {(a, b)}, depth - 1):
+                            ok = True
+                            break
+                if not ok:
+                    result = False
+                    break
+            if not result:
+                break
+        memo[key] = result
+        return result
+
+    def equal(t1, t2, depth):
+        start = _admit_pairs(s, zip(t1, t2))
+        return start is not None and wins(frozenset(start[0].items()), depth)
+
+    return equal
+
+
+def lift_to_terms(r):
+    """View a function-free target as a term carrier with no symbols and a
+    trivial enrichment, keeping the target's relations: the reference for
+    the carrier-less sieve.  A function-free map with no enrichment or a
+    trivial one must sieve and probe the same as its lift."""
+    if r.target.functions:
+        raise ValueError("can only lift a function-free target to a term carrier")
+    ta = TermAlgebra.build(AlgebraSignature.make({}), r.target.size, 0)
+    base = ta.as_structure
+    relations = {rel.name: (rel.arity, rel.tuples) for rel in r.target.relations}
+    relations.update({rel.name: (rel.arity, rel.tuples) for rel in base.relations})
+    target = FiniteStructure.make(base.size, relations=relations)
+    enr = trivial_enrichment(target)
+    return RepresentationMap(r.source, enr.apply(target), r.f, carrier=ta, enrichment=enr)
+
+
 def validate_trace(trace) -> list:
     """Re-derive every trace invariant from the raw inputs; empty = valid."""
     out = []
     r = trace.r
-    if r.carrier is None:
-        return ["trace has no term carrier"]
     n = len(trace.tuples)
     for i in range(n):
         if trace.padded[i] != _padded_image(r, trace.tuples[i]):
@@ -47,14 +112,10 @@ def validate_trace(trace) -> list:
     for g in trace.stage0:
         if len({shapes[i] for i in g}) != 1:
             out.append(f"stage0 group {g} has mixed shapes")
-    level_of = (
-        r.enrichment.level_of
-        if r.enrichment is not None
-        else {e: 0 for e in range(r.target.size)}
-    )
+    level_of = r.enrichment.level_of if r.enrichment is not None else {}
     for g in trace.stage1:
         pats = {
-            frozenset((pos, level_of[tid]) for pos, tid in enumerate(trace.padded[i]))
+            frozenset((pos, level_of.get(tid, 0)) for pos, tid in enumerate(trace.padded[i]))
             for i in g
         }
         if len(pats) != 1:
@@ -76,9 +137,6 @@ def validate_trace(trace) -> list:
             out.append(f"stage2 group {g} has mixed function patterns")
     family = [trace.padded[i] for i in trace.chosen]
     out.extend(validate_sunflower(family, trace.certificate))
-    expect_s3 = tuple(trace.chosen[k] for k in trace.certificate.selected)
-    if trace.s3 != expect_s3:
-        out.append("survivor list does not match the certificate's selection")
     # cross-tuple equalities may only happen at agreement positions
     u = trace.certificate.agree_idx
     for a, b in itertools.combinations(trace.s3, 2):

@@ -81,6 +81,15 @@ class TestCheckers:
         assert run_command(["check-representation", ex2_ws, "--delta", "ef:-1"]) == 2
         assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in capsys.readouterr().err
 
+    def test_ef_depth_past_the_recursion_limit(self, lin4_ws, tmp_path):
+        # a bare target gives (0, 1) and (1, 0) one qf type; the game tells them apart
+        out = str(tmp_path / "check.json")
+        assert run_command(["check-representation", lin4_ws, "--max-tuple-len", "2",
+                            "--delta", "ef:5000", "--out", out]) == 1
+        doc = json.loads(open(out).read())
+        assert doc["kind"] == "violation-report"
+        assert {"a": [1, 0], "b": [0, 1]} in [{k: e[k] for k in "ab"} for e in doc["entries"]]
+
 
 class TestBuilders:
     def test_build_sid_report(self, theories_ws, tmp_path, capsys):
@@ -225,6 +234,13 @@ class TestSieve:
 
     def test_default_singletons(self, ex2_ws):
         assert run_command(["sieve", ex2_ws, "--target", "2"]) == 0
+
+    def test_map_without_a_carrier(self, lin4_ws, tmp_path):
+        out = str(tmp_path / "trace.json")
+        assert run_command(["sieve", lin4_ws, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        assert doc["survivors"] == [0, 1, 2, 3]
+        assert doc["xi"] == 1
 
     def test_malformed_tuples(self, ex2_ws, capsys):
         assert run_command(["sieve", ex2_ws, "--tuples", "{oops"]) == 2

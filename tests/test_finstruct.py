@@ -13,7 +13,7 @@ from repsieve import (
     type_equal,
 )
 from repsieve.finstruct import _ef_equal, automorphism_extending
-from reference import all_extensions
+from reference import all_extensions, ef_game_with_repeats
 from test_orbits import SEEDS, random_structure
 
 
@@ -353,3 +353,26 @@ def test_ef_verdicts_match_the_game_alone(seed):
         for t1, t2 in itertools.product(tuples, repeat=2):
             for d in range(4):
                 assert type_equal(s, t1, t2, ("ef", d)) == _ef_equal(s, t1, t2, d), (t1, t2, d)
+
+
+SMALL_SEEDS = [seed for seed in SEEDS if random_structure(seed).size <= 4]
+
+
+@pytest.mark.parametrize("seed", SMALL_SEEDS)
+def test_ef_game_matches_the_game_with_repeat_moves(seed):
+    # a repeated element spends a round and changes nothing, so the game
+    # without that move must give the same verdict at every depth
+    s = random_structure(seed)
+    with_repeats = ef_game_with_repeats(s)
+    for length in (1, 2):
+        tuples = list(itertools.product(range(s.size), repeat=length))
+        for t1, t2 in itertools.product(tuples, repeat=2):
+            for d in range(4):
+                assert _ef_equal(s, t1, t2, d) == with_repeats(t1, t2, d), (t1, t2, d)
+
+
+def test_ef_depth_beyond_the_recursion_limit():
+    s = linear(6)
+    assert _ef_equal(s, (2,), (2,), 5000)
+    assert not _ef_equal(s, (2,), (3,), 5000)
+    assert not _ef_equal(s, (0, 1), (1, 0), 5000)

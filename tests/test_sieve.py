@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from repsieve import (
 from repsieve.sieve import _shape_vector
 
 from conftest import eq3x3, eq_structure, linear
-from reference import validate_trace
+from reference import lift_to_terms, validate_trace
 from test_represent import one_per_class_rep
 
 
@@ -129,12 +130,19 @@ class TestSieve:
         assert trace.certificate.root == frozenset({0, 2})
         assert trace.certificate.agree_idx == frozenset({0, 1})
 
-    def test_needs_term_carrier(self):
-        src = eq3x3()
-        target = eq3x3()
-        r = RepresentationMap.make(src, target, {e: e for e in range(9)})
-        with pytest.raises(ValueError, match="term carrier"):
-            sieve(r, [(0,)])
+    def test_carrierless_target_with_a_function_refused(self):
+        target = FiniteStructure.make(2, functions={"g": (1, {(1,): 0})})
+        r = RepresentationMap.make(linear(2), target, {0: 0, 1: 1})
+        with pytest.raises(ValueError, match="function-free"):
+            sieve(r, [(0,), (1,)])
+
+    def test_carrierless_relational_target_sieved(self):
+        # no carrier: every element is a base leaf and the image is its own padding
+        r = RepresentationMap.make(eq3x3(), eq3x3(), {e: e for e in range(9)})
+        trace = sieve(r, [(a,) for a in range(9)])
+        assert trace.padded == tuple((a,) for a in range(9))
+        assert trace.s3 == tuple(range(9))
+        assert validate_trace(trace) == []
 
     def test_rejects_empty_and_small_target(self):
         r = flat_rep(FiniteStructure.make(2))
@@ -195,12 +203,6 @@ class TestWitness:
 
 
 class TestTraceValidation:
-    def test_tampered_survivors_detected(self):
-        r = eq_partner_rep(3)
-        trace = sieve(r, [(1,), (3,), (5,)])
-        bad = SieveTrace(**{**vars(trace), "s3": (trace.s3[0],)})
-        assert any("survivor" in p for p in validate_trace(bad))
-
     def test_tampered_padding_detected(self):
         r = eq_partner_rep(3)
         trace = sieve(r, [(1,), (3,), (5,)])
@@ -322,12 +324,54 @@ class TestProbe:
         with pytest.raises(ValueError, match="empty chain"):
             instability_probe(r, "lt", [])
 
-    def test_lift_requires_function_free_target(self):
+    def test_carrierless_target_with_a_function_refused(self):
         src = linear(2)
         target = FiniteStructure.make(2, functions={"g": (1, {(1,): 0})})
         r = RepresentationMap.make(src, target, {0: 0, 1: 1})
         with pytest.raises(ValueError, match="function-free"):
             instability_probe(r, "lt", [(0,), (1,)])
+
+
+def carrierless_map(seed):
+    """A seeded function-free map with no carrier: a linear order or a pure
+    set into a bare target, with no enrichment or a trivial one."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    src = linear(n) if seed % 2 else FiniteStructure.make(n)
+    bare = FiniteStructure.make(rng.randint(1, n))
+    f = [rng.randrange(bare.size) for _ in range(n)]
+    if seed % 4 < 2:
+        return RepresentationMap.make(src, bare, f)
+    enr = trivial_enrichment(bare)
+    return RepresentationMap.make(src, enr.apply(bare), f, enrichment=enr)
+
+
+def sieve_outcome(r, tuples):
+    try:
+        trace = sieve(r, tuples)
+    except SieveBottleneck as exc:
+        return exc.stage, exc.largest, exc.inconclusive
+    stages = (trace.stage0, trace.stage1, trace.stage2)
+    return stages, trace.padded, trace.certificate, trace.s3
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_carrierless_map_sieves_and_probes_as_its_lift(seed):
+    r = carrierless_map(seed)
+    lifted = lift_to_terms(r)
+    rng = random.Random(seed)
+    n = r.source.size
+    for _ in range(6):
+        k = rng.randint(1, 2)
+        tuples = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(rng.randint(1, 6))]
+        assert sieve_outcome(r, tuples) == sieve_outcome(lifted, tuples), tuples
+
+    def by_value(s, a, b):
+        return a[0] < b[0]
+
+    phi = "lt" if seed % 2 else by_value
+    chain = [(a,) for a in range(n)]
+    assert instability_probe(r, phi, chain) == instability_probe(lifted, phi, chain)
 
 
 @given(

@@ -11,6 +11,7 @@ from repsieve import (
     delta_system,
     validate_sunflower,
 )
+from repsieve import sunflower
 from repsieve.sunflower import _equiv_partition
 
 
@@ -78,9 +79,10 @@ class TestDeltaSystem:
         assert isinstance(cert, SunflowerCertificate)
         assert validate_sunflower(fam, cert) == []
 
-    def test_greedy_mode_flags_inconclusive(self):
+    def test_greedy_mode_flags_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(sunflower, "EXHAUSTIVE_THRESHOLD", 1)
         fam = [(9, 1, 2), (9, 1, 4), (9, 2, 5)]
-        res = delta_system(fam, target=3, exhaustive_threshold=1)
+        res = delta_system(fam, target=3)
         assert isinstance(res, DeltaSystemFailure)
         assert res.inconclusive
 
