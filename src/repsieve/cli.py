@@ -156,7 +156,7 @@ def _trace_artifact(trace: SieveTrace) -> tuple:
     for stage, label in (
         ("stage0", "term shape"),
         ("stage1", "level pattern"),
-        ("stage2", "function pattern"),
+        ("stage2", "qf type"),
         ("stage3", "delta system"),
     ):
         lines.append(f"  {stage} ({label}): {counts[stage]}")
@@ -305,18 +305,10 @@ def _parse_json_lists(text: str, flag: str) -> list:
     return [tuple(x) for x in doc]
 
 
-def _cmd_check_representation(args) -> int:
+def _cmd_check(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
-    report = check_representation(r, _policy(args))
-    _emit(args, *_violation_artifact(r, report))
-    return 0 if report.empty else 1
-
-
-def _cmd_check_fact14(args) -> int:
-    ws = load_workspace(args.workspace)
-    r = _pick_representation(ws, args.rep)
-    report = check_by_partial_automorphisms(r, _policy(args))
+    report = args.checker(r, _policy(args))
     _emit(args, *_violation_artifact(r, report))
     return 0 if report.empty else 1
 
@@ -490,17 +482,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-representation", help="exhaustive tuple-comparison checker")
-    p.add_argument("workspace")
-    p.add_argument("--rep")
-    _add_checker_flags(p)
-    p.set_defaults(fn=_cmd_check_representation)
-
-    p = sub.add_parser("check-fact14", help="partial-automorphism checker")
-    p.add_argument("workspace")
-    p.add_argument("--rep")
-    _add_checker_flags(p)
-    p.set_defaults(fn=_cmd_check_fact14)
+    # the checkers are read here, not at import, so a rebound name is used
+    for name, checker, help_text in (
+        ("check-representation", check_representation, "exhaustive tuple-comparison checker"),
+        ("check-fact14", check_by_partial_automorphisms, "partial-automorphism checker"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("workspace")
+        p.add_argument("--rep")
+        _add_checker_flags(p)
+        p.set_defaults(fn=_cmd_check, checker=checker)
 
     p = sub.add_parser("build-sid", help="layered decomposition for a catalog theory")
     p.add_argument("workspace")

@@ -11,17 +11,20 @@ functions, closure elements appended deterministically):
   essential: it makes equal shapes mean "same terms over a renaming of
   base elements", which the witness map construction needs.
 - stage 1 refines by the level pattern of the padded positions.
-- stage 2 refines by the function pattern (which position maps to which
-  under each partial function).
+- stage 2 refines by the qf type of the padded tuple in the target.  A
+  padded tuple is its own closure, so two rows share a qf type exactly
+  when the position-wise map between them is an isomorphism of their
+  closures: it respects every function and every relation of the target.
 - stage 3 runs the delta-system search on the largest surviving group.
 
 A map with a term carrier takes its shapes from the carrier.  A map with
 none is sieved when its target has no functions: every element is then a
 base leaf, and the padded image is the image itself.
 
-Survivors pairwise support witness partial automorphisms built purely
-position-wise; the probe exploits exactly that on a chain ordered by a
-formula to refute either the representation or the chain.
+The position-wise map between any two survivors is a partial automorphism
+of the target.  The probe compares the qf types of the two orderings of
+a formula-ordered pair of survivors, and refutes either the
+representation or the chain when they agree.
 """
 
 from __future__ import annotations
@@ -159,7 +162,6 @@ def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2
         raise ValueError("target must be >= 2")
     padded = tuple(_padded_image(r, t) for t in tuples)
     level_of = r.enrichment.level_of if r.enrichment is not None else {}
-    fn_dicts = [(f.name, f.as_dict) for f in r.target.functions]
 
     def shape(row):
         return _shape_vector(r.carrier, row)
@@ -167,23 +169,14 @@ def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2
     def levels(row):
         return frozenset((pos, level_of.get(tid, 0)) for pos, tid in enumerate(row))
 
-    def function_pattern(row):
-        pat = set()
-        for name, graph in fn_dicts:
-            for z0, tid in enumerate(row):
-                val = graph.get((tid,))
-                if val is None:
-                    continue
-                for z1, other in enumerate(row):
-                    if other == val:
-                        pat.add((name, z0, z1))
-        return frozenset(pat)
+    def qf(row):
+        return qf_type(r.target, row)
 
     # each stage refines the last by grouping on a longer key; _group's order
     # (size, then first member) makes that the same as refining group by group
     keys = [()] * len(tuples)
     stages = []
-    for stage, part in (("stage0", shape), ("stage1", levels), ("stage2", function_pattern)):
+    for stage, part in (("stage0", shape), ("stage1", levels), ("stage2", qf)):
         keys = [key + (part(row),) for key, row in zip(keys, padded)]
         groups = _group(range(len(tuples)), keys.__getitem__)
         if len(groups[0]) < target:
@@ -199,9 +192,9 @@ def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2
 
 def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) -> PartialAutomorphism:
     """The position-wise map sending the padded images of the ``v`` survivors
-    onto those of the ``u`` survivors.  Valid whenever both sequences stay
-    inside the survivor set; the trace invariants make it well-defined,
-    injective, and atom-preserving, and this is rechecked here."""
+    onto those of the ``u`` survivors.  Stage 2 makes it a partial
+    automorphism for single survivors; longer sequences also need the
+    target's atoms across tuples to agree.  Both are rechecked here."""
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("index sequences must have equal length")
@@ -226,26 +219,30 @@ def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) 
     return pa
 
 
-def verify_indiscernible(
-    m, tuples: Sequence[Sequence[int]], idx, length: int, policy="orbit"
-) -> bool:
-    """Brute-force set-indiscernibility check: all repetition-free index
-    sequences of each length up to ``length`` must give type-equal
-    concatenations.  Transitivity lets every sequence be compared to the
-    first one only."""
-    idx = sorted(idx)
-    if length > len(idx):
-        raise ValueError("length exceeds the number of indices")
-    tuples = [tuple(t) for t in tuples]
-    for ell in range(1, length + 1):
-        seqs = list(itertools.permutations(idx, ell))
-        first = seqs[0]
-        ref = tuple(x for k in first for x in tuples[k])
-        for s in seqs[1:]:
-            cat = tuple(x for k in s for x in tuples[k])
-            if not type_equal(m, ref, cat, policy):
-                return False
-    return True
+def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx, policy="orbit") -> bool:
+    """Set-indiscernibility of ``tuples[k]`` for ``k`` in ``idx``: every
+    repetition-free sequence of indices gives type-equal concatenations,
+    length by length.
+
+    Takes k - 1 type queries for k indices: the concatenation c in sorted
+    index order against each of its adjacent block swaps c·σᵢ.  Both
+    policies are equivalences, and applying one position permutation τ to
+    both tuples keeps a verdict, so c ≡ c·σᵢ gives c·τ ≡ c·σᵢ·τ.  The
+    permutations π with c ≡ c·π are therefore closed under multiplication
+    by each σᵢ, and the adjacent swaps generate Sym(k).  A shorter
+    sequence is a prefix of a full one, and type equality passes to
+    prefixes.  The tuples must share one length, so that each block swap
+    is one position permutation.
+    """
+    blocks = [tuple(tuples[k]) for k in sorted(idx)]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError("tuples must have equal length")
+
+    def cat(seq):
+        return tuple(x for b in seq for x in b)
+
+    swaps = (blocks[:i] + [blocks[i + 1], blocks[i]] + blocks[i + 2:] for i in range(len(blocks) - 1))
+    return all(type_equal(m, cat(blocks), cat(swapped), policy) for swapped in swaps)
 
 
 @record()
@@ -313,7 +310,6 @@ def instability_probe(
     except SieveBottleneck as exc:
         return ProbeReport(status="inconclusive", detail=str(exc))
     i, j = sorted(trace.s3)[:2]
-    witness_automorphism(trace, (i, j), (j, i))  # raises if ill-formed
     forward = chain[i] + chain[j]
     backward = chain[j] + chain[i]
     qf_fwd = qf_type(r.target, r.image(forward))
@@ -324,7 +320,7 @@ def instability_probe(
             pair=(i, j),
             forward=forward,
             backward=backward,
-            detail="witness exists but the image types disagree; nothing to refute",
+            detail="the images of the two orderings differ in qf type; nothing to refute",
         )
     if not type_equal(r.source, forward, backward, delta):
         return ProbeReport(

@@ -219,19 +219,6 @@ def nested_class_oracle(m: FiniteStructure, level_names: Sequence[str]) -> Indep
     )
 
 
-def _refusing_oracle(reason: str) -> IndependenceOracle:
-    def refuse(*args, **kwargs):
-        raise NotImplementedError(reason)
-
-    return IndependenceOracle(
-        forks=refuse,
-        unique_nonforking=refuse,
-        base=refuse,
-        canonical_params=refuse,
-        level_names=(),
-    )
-
-
 def theory_oracle(spec: TheorySpec, m: FiniteStructure) -> IndependenceOracle:
     if spec.tag == "pure_set":
         return nested_class_oracle(m, ())
@@ -243,7 +230,7 @@ def theory_oracle(spec: TheorySpec, m: FiniteStructure) -> IndependenceOracle:
         )
         return nested_class_oracle(m, fine_to_coarse)
     if spec.tag == "linear_order":
-        return _refusing_oracle("no independence oracle for an unstable catalog entry")
+        raise NotImplementedError("no independence oracle for an unstable catalog entry")
     raise ValueError(f"unknown catalog tag {spec.tag!r}")
 
 
@@ -411,10 +398,8 @@ def verify_decomposition(d: Decomposition) -> list:
                 out.append(f"layer {idx} is not strongly independent over its predecessors")
         return out
     first = d.layers[0] if d.layers else ()
-    if first:
-        singles = [(e,) for e in first]
-        if not verify_indiscernible(m, singles, range(len(first)), min(3, len(first))):
-            out.append("first layer is not an indiscernible set")
+    if not verify_indiscernible(m, [(e,) for e in first], range(len(first))):
+        out.append("first layer is not an indiscernible set")
     for idx, layer in enumerate(d.layers[1:], start=1):
         below = set(d.below(idx))
         for a in layer:

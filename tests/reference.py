@@ -6,9 +6,11 @@ import itertools
 from repsieve import (
     AlgebraSignature,
     FiniteStructure,
+    PartialAutomorphism,
     RepresentationMap,
     TermAlgebra,
     trivial_enrichment,
+    type_equal,
 )
 from repsieve.finstruct import _admit_pairs, _delta_consistent
 from repsieve.sieve import _padded_image, _shape_vector
@@ -96,6 +98,26 @@ def lift_to_terms(r):
     return RepresentationMap(r.source, enr.apply(target), r.f, carrier=ta, enrichment=enr)
 
 
+def indiscernible_by_walk(m, tuples, idx, length, policy="orbit") -> bool:
+    """Set-indiscernibility by brute force: all repetition-free index
+    sequences of each length up to ``length`` must give type-equal
+    concatenations.  Transitivity lets every sequence be compared to the
+    first one only."""
+    idx = sorted(idx)
+    if length > len(idx):
+        raise ValueError("length exceeds the number of indices")
+    tuples = [tuple(t) for t in tuples]
+    for ell in range(1, length + 1):
+        seqs = list(itertools.permutations(idx, ell))
+        first = seqs[0]
+        ref = tuple(x for k in first for x in tuples[k])
+        for s in seqs[1:]:
+            cat = tuple(x for k in s for x in tuples[k])
+            if not type_equal(m, ref, cat, policy):
+                return False
+    return True
+
+
 def validate_trace(trace) -> list:
     """Re-derive every trace invariant from the raw inputs; empty = valid."""
     out = []
@@ -120,21 +142,18 @@ def validate_trace(trace) -> list:
         }
         if len(pats) != 1:
             out.append(f"stage1 group {g} has mixed level patterns")
+    # qf-equal padded rows are exactly those whose position-wise map is a
+    # partial automorphism; this oracle does not go through the qf trie
     for g in trace.stage2:
-        pats = set()
-        for i in g:
-            row = trace.padded[i]
-            pat = set()
-            for f in r.target.functions:
-                for z0, tid in enumerate(row):
-                    val = f.as_dict.get((tid,))
-                    if val is not None:
-                        pat.update(
-                            (f.name, z0, z1) for z1, other in enumerate(row) if other == val
-                        )
-            pats.add(frozenset(pat))
-        if len(pats) != 1:
-            out.append(f"stage2 group {g} has mixed function patterns")
+        for i in g[1:]:
+            mapping: dict = {}
+            for x, y in zip(trace.padded[i], trace.padded[g[0]]):
+                if mapping.setdefault(x, y) != y:
+                    out.append(f"stage2 group {g}: member {i} maps {x} to two elements")
+                    break
+            else:
+                for problem in PartialAutomorphism.from_dict(mapping).violations(r.target):
+                    out.append(f"stage2 group {g}: member {i}: {problem}")
     family = [trace.padded[i] for i in trace.chosen]
     out.extend(validate_sunflower(family, trace.certificate))
     # cross-tuple equalities may only happen at agreement positions

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repsieve import TheorySpec, Workspace, save_workspace
+from repsieve import FiniteStructure, RepresentationMap, TheorySpec, Workspace, save_workspace
 from repsieve.cli import run_command
 
 from conftest import save_lin4
@@ -129,6 +129,7 @@ class TestBuilders:
         path = str(tmp_path / "lin.json")
         save_workspace(ws, path)
         assert run_command(["build-ex2", path, "--theory", "lin"]) == 2
+        assert "no independence oracle for an unstable catalog entry" in capsys.readouterr().err
 
 
 class TestWorkspaceValidation:
@@ -241,6 +242,18 @@ class TestSieve:
         doc = json.loads(open(out).read())
         assert doc["survivors"] == [0, 1, 2, 3]
         assert doc["xi"] == 1
+
+    def test_unread_relation_is_a_stage2_bottleneck(self, tmp_path):
+        # the identity of a 2-element set into a target where only 0 is in P
+        target = FiniteStructure.make(2, relations={"P": (1, {(0,)})})
+        ws = Workspace()
+        ws.add_representation("id", RepresentationMap.make(FiniteStructure.make(2), target, [0, 1]))
+        path, out = str(tmp_path / "p.json"), str(tmp_path / "bn.json")
+        save_workspace(ws, path)
+        assert run_command(["sieve", path, "--out", out]) == 1
+        doc = json.loads(open(out).read())
+        assert doc["kind"] == "sieve-bottleneck" and doc["stage"] == "stage2"
+        assert doc["largest"] == 1
 
     def test_malformed_tuples(self, ex2_ws, capsys):
         assert run_command(["sieve", ex2_ws, "--tuples", "{oops"]) == 2

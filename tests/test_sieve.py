@@ -24,7 +24,8 @@ from repsieve import (
 from repsieve.sieve import _shape_vector
 
 from conftest import eq3x3, eq_structure, linear
-from reference import lift_to_terms, validate_trace
+from reference import indiscernible_by_walk, lift_to_terms, validate_trace
+from test_orbits import random_structure
 from test_represent import one_per_class_rep
 
 
@@ -136,6 +137,15 @@ class TestSieve:
         with pytest.raises(ValueError, match="function-free"):
             sieve(r, [(0,), (1,)])
 
+    def test_unread_relation_splits_stage2(self):
+        # stage 2 reads the target's relations: 0 is in P and 1 is not
+        target = FiniteStructure.make(2, relations={"P": (1, {(0,)})})
+        r = RepresentationMap.make(FiniteStructure.make(2), target, {0: 0, 1: 1})
+        with pytest.raises(SieveBottleneck) as exc:
+            sieve(r, [(0,), (1,)])
+        assert exc.value.stage == "stage2"
+        assert exc.value.largest == 1
+
     def test_carrierless_relational_target_sieved(self):
         # no carrier: every element is a base leaf and the image is its own padding
         r = RepresentationMap.make(eq3x3(), eq3x3(), {e: e for e in range(9)})
@@ -216,37 +226,79 @@ class TestTraceValidation:
         bad = SieveTrace(**{**vars(trace), "stage1": ((0, 1),)})
         assert any("partition" in p for p in validate_trace(bad))
 
+    def test_tampered_stage2_detected(self):
+        # 0 is in P and 1, 2 are not: stage 2 keeps 0 apart
+        target = FiniteStructure.make(3, relations={"P": (1, {(0,)})})
+        r = RepresentationMap.make(FiniteStructure.make(3), target, [0, 1, 2])
+        trace = sieve(r, [(0,), (1,), (2,)])
+        assert trace.stage2 == ((1, 2), (0,))
+        assert validate_trace(trace) == []
+        bad = SieveTrace(**{**vars(trace), "stage2": ((0, 1, 2),)})
+        assert any(p.startswith("stage2 group (0, 1, 2): member 1: relation P") for p in validate_trace(bad))
+
 
 class TestVerifyIndiscernible:
     def test_class_members_indiscernible(self):
         m = eq3x3()
         singles = [(i,) for i in range(9)]
-        assert verify_indiscernible(m, singles, {0, 1, 2}, 2)
+        assert verify_indiscernible(m, singles, {0, 1, 2})
 
     def test_mixed_class_members_not_indiscernible(self):
         m = eq3x3()
         singles = [(i,) for i in range(9)]
-        assert not verify_indiscernible(m, singles, {0, 1, 3}, 2)
+        assert not verify_indiscernible(m, singles, {0, 1, 3})
 
     def test_singleton_index_set_vacuous(self):
         m = eq3x3()
-        assert verify_indiscernible(m, [(0,)], {0}, 1)
+        assert verify_indiscernible(m, [(0,)], {0})
+        assert verify_indiscernible(m, [(0,)], set())
 
-    def test_length_cannot_exceed_index_count(self):
-        m = eq3x3()
-        with pytest.raises(ValueError, match="length"):
-            verify_indiscernible(m, [(0,), (1,)], {0, 1}, 3)
+    def test_blocks_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            verify_indiscernible(eq3x3(), [(0,), (1, 2)], {0, 1})
 
     def test_order_matters_on_linear_source(self):
         m = linear(4)
         singles = [(i,) for i in range(4)]
-        # orbits are singletons in a finite linear order, but one round of
-        # back-and-forth cannot tell two inner elements apart
-        assert not verify_indiscernible(m, singles, {0, 1}, 2)
-        assert not verify_indiscernible(m, singles, {0, 1}, 1)
-        assert verify_indiscernible(m, singles, {1, 2}, 1, policy=("ef", 1))
+        # the order is atomic, so no two elements are indiscernible under
+        # either policy
+        assert not verify_indiscernible(m, singles, {0, 1})
+        assert not verify_indiscernible(m, singles, {1, 2}, policy=("ef", 1))
+
+    def test_one_game_round_is_coarser_than_orbits(self):
+        m = eq_structure([{0, 1}, {2, 3, 4}])
+        singles = [(i,) for i in range(5)]
+        # class sizes 2 and 3 tell 0 from 2, but only in two rounds
+        assert not verify_indiscernible(m, singles, {0, 2})
+        assert verify_indiscernible(m, singles, {0, 2}, policy=("ef", 1))
+        assert not verify_indiscernible(m, singles, {0, 2}, policy=("ef", 2))
+
+
+@pytest.mark.parametrize("policy", ["orbit", ("ef", 1), ("ef", 2)], ids=str)
+def test_swap_test_matches_the_sequence_walk(policy):
+    verdicts = set()
+    for seed in range(60):
+        s = random_structure(seed)
+        rng = random.Random(f"indiscernible/{seed}")
+        k = rng.randint(1, 2)
+        tuples = [tuple(rng.randrange(s.size) for _ in range(k)) for _ in range(rng.randint(1, 4))]
+        idx = rng.sample(range(len(tuples)), rng.randint(0, len(tuples)))
+        fast = verify_indiscernible(s, tuples, idx, policy)
+        assert fast == indiscernible_by_walk(s, tuples, idx, len(idx), policy), (seed, tuples, idx)
+        verdicts.add(fast)
+    assert verdicts == {True, False}
+
 
 class TestProbe:
+    def test_qf_types_of_the_orderings_differ(self):
+        # the identity of a linear order into itself: the singletons share a
+        # qf type, the two orderings of a pair do not, and the probe stops there
+        r = RepresentationMap.make(linear(3), linear(3), {i: i for i in range(3)})
+        report = instability_probe(r, "lt", [(0,), (1,), (2,)])
+        assert report.status == "inconclusive"
+        assert report.pair == (0, 1)
+        assert "qf type" in report.detail
+
     def test_linear_order_refutes_identity(self):
         src = linear(4)
         r = flat_rep(src)
