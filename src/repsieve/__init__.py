@@ -23,6 +23,7 @@ from repsieve.finstruct import (
     qf_closure,
     qf_type,
     type_equal,
+    verify_indiscernible,
 )
 from repsieve.termalg import AlgebraSignature, Term, TermAlgebra, build_terms
 from repsieve.enrich import Enrichment, trivial_enrichment, validate_enrichment
@@ -45,7 +46,6 @@ from repsieve.sieve import (
     SieveTrace,
     instability_probe,
     sieve,
-    verify_indiscernible,
     witness_automorphism,
 )
 from repsieve.theories import (

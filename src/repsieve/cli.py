@@ -374,13 +374,14 @@ def _cmd_sieve(args) -> int:
 
 def _check_random_family_flags(args) -> None:
     """Reject family shapes that no sampling can fill, before drawing any."""
-    for flag, value in (
-        ("--random", args.random),
-        ("--universe", args.universe),
-        ("--set-size", args.set_size),
+    for flag, value, least in (
+        ("--random", args.random, 0),
+        ("--family-size", args.family_size, 1),
+        ("--universe", args.universe, 0),
+        ("--set-size", args.set_size, 0),
     ):
-        if value < 0:
-            raise WorkspaceError(f"{flag} must be >= 0, got {value}")
+        if value < least:
+            raise WorkspaceError(f"{flag} must be >= {least}, got {value}")
     if args.set_size > args.universe:
         raise WorkspaceError(
             f"--set-size {args.set_size} exceeds --universe {args.universe}"
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a workspace holding the result here")
     p.set_defaults(fn=_cmd_build_ex1)
 
-    p = sub.add_parser("sieve", help="staged extraction over a term representation")
+    p = sub.add_parser("sieve", help="staged extraction over a representation")
     p.add_argument("workspace")
     p.add_argument("--rep")
     p.add_argument("--tuples", help="JSON list of source tuples; default all singletons")

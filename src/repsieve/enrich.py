@@ -11,7 +11,6 @@ closure under the added functions finite and shallow.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import cached_property
 
 from repsieve._record import record
 from repsieve.finstruct import FiniteStructure, PartialFn
@@ -32,14 +31,6 @@ class Enrichment:
             for name, graph in (functions or {}).items()
         )
         return cls(lv, fns)
-
-    @cached_property
-    def level_of(self) -> dict:
-        out = {}
-        for i, level in enumerate(self.levels):
-            for e in level:
-                out[e] = i
-        return out
 
     def apply(self, base: FiniteStructure) -> FiniteStructure:
         """Base structure plus level relations plus the regressive functions."""

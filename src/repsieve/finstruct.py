@@ -35,6 +35,7 @@ __all__ = [
     "qf_closure",
     "qf_type",
     "type_equal",
+    "verify_indiscernible",
     "OrbitEngine",
     "automorphism_extending",
 ]
@@ -669,6 +670,32 @@ def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy=
     # an automorphism sending t1 to t2 wins the game at every depth, so the
     # game is played only between tuples in different orbits
     return s.orbits.equal(t1, t2) or _ef_equal(s, t1, t2, d)
+
+
+def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx, policy="orbit") -> bool:
+    """Set-indiscernibility of ``tuples[k]`` for ``k`` in ``idx``: every
+    repetition-free sequence of indices gives type-equal concatenations,
+    length by length.
+
+    Takes k - 1 type queries for k indices: the concatenation c in sorted
+    index order against each of its adjacent block swaps c·σᵢ.  Both
+    policies are equivalences, and applying one position permutation τ to
+    both tuples keeps a verdict, so c ≡ c·σᵢ gives c·τ ≡ c·σᵢ·τ.  The
+    permutations π with c ≡ c·π are therefore closed under multiplication
+    by each σᵢ, and the adjacent swaps generate Sym(k).  A shorter
+    sequence is a prefix of a full one, and type equality passes to
+    prefixes.  The tuples must share one length, so that each block swap
+    is one position permutation.
+    """
+    blocks = [tuple(tuples[k]) for k in sorted(idx)]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError("tuples must have equal length")
+
+    def cat(seq):
+        return tuple(x for b in seq for x in b)
+
+    swaps = (blocks[:i] + [blocks[i + 1], blocks[i]] + blocks[i + 2:] for i in range(len(blocks) - 1))
+    return all(type_equal(m, cat(blocks), cat(swapped), policy) for swapped in swaps)
 
 
 @record()

@@ -2,24 +2,23 @@
 sequence, and the probe that turns an ordered chain into a refutation.
 
 The sieve takes source tuples through four pigeonhole stages over their
-*padded images* (images closed under subterm projections and enrichment
-functions, closure elements appended deterministically):
+*padded images*: each image followed by the rest of its closure under the
+target's functions, in discovery order.  Stages 0 to 2 group the padded
+rows by qf type, each in one reduct of the target:
 
-- stage 0 groups by the canonical term-shape vector, where base leaves
-  are replaced by variable indices assigned on first occurrence across
-  the whole padded tuple (constants stay rigid).  Shared indexing is
-  essential: it makes equal shapes mean "same terms over a renaming of
-  base elements", which the witness map construction needs.
-- stage 1 refines by the level pattern of the padded positions.
-- stage 2 refines by the qf type of the padded tuple in the target.  A
-  padded tuple is its own closure, so two rows share a qf type exactly
-  when the position-wise map between them is an isomorphism of their
-  closures: it respects every function and every relation of the target.
-- stage 3 runs the delta-system search on the largest surviving group.
+- stage 0 reads the term structure: the carrier's, or a bare universe of
+  the target's size when there is no carrier.  Two rows are qf-equal
+  there exactly when they have the same term shapes over a renaming of
+  base elements, which the witness map construction needs.
+- stage 1 reads that structure plus the enrichment's level relations,
+  which adds the level of each position.
+- stage 2 reads the target itself, with every function and relation.
+- stage 3 runs the delta-system search on the largest stage-2 group.
 
-A map with a term carrier takes its shapes from the carrier.  A map with
-none is sieved when its target has no functions: every element is then a
-base leaf, and the padded image is the image itself.
+A padded row is its own closure in every reduct, so two rows are
+qf-equal in a reduct exactly when the position-wise map between them
+preserves that reduct's atoms both ways.  The target expands the level
+reduct, which expands the term reduct, so each stage refines the last.
 
 The position-wise map between any two survivors is a partial automorphism
 of the target.  The probe compares the qf types of the two orderings of
@@ -33,7 +32,9 @@ import itertools
 from collections.abc import Sequence
 
 from repsieve._record import record
+from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
+    FiniteStructure,
     PartialAutomorphism,
     qf_closure,
     qf_type,
@@ -45,7 +46,6 @@ from repsieve.sunflower import (
     SunflowerCertificate,
     delta_system,
 )
-from repsieve.termalg import TermAlgebra
 
 __all__ = [
     "SieveBottleneck",
@@ -53,7 +53,6 @@ __all__ = [
     "ProbeReport",
     "sieve",
     "witness_automorphism",
-    "verify_indiscernible",
     "instability_probe",
 ]
 
@@ -125,35 +124,16 @@ def _padded_image(r: RepresentationMap, t) -> tuple:
     return image + tuple(qf_closure(r.target, image)[len(set(image)):])
 
 
-def _shape_vector(ta: TermAlgebra | None, padded) -> tuple:
-    """Term shapes of a padded tuple, base leaves numbered on first
-    occurrence; with no carrier every element is a base leaf."""
-    varmap: dict = {}
-
-    def shape(tid):
-        t = ta.term(tid) if ta is not None else None
-        if t is None or t.is_base:
-            return ("v", varmap.setdefault(tid, len(varmap)))
-        return ("a", t.sym) + tuple(shape(ta.term_id(c)) for c in t.args)
-
-    return tuple(shape(i) for i in padded)
-
-
-def _group(indices, key_of) -> tuple:
+def _group(keys) -> tuple:
     groups: dict = {}
-    for i in indices:
-        groups.setdefault(key_of(i), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return tuple(sorted(map(tuple, groups.values()), key=lambda g: (-len(g), g[0])))
 
 
 def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2) -> SieveTrace:
     """Run the four-stage extraction; raises :class:`SieveBottleneck` naming
     the first stage whose largest group cannot reach ``target``."""
-    if r.carrier is None and r.target.functions:
-        raise ValueError(
-            "sieve needs a term carrier or a function-free target; this target "
-            "has functions and no carrier"
-        )
     tuples = tuple(tuple(t) for t in tuples)
     if not tuples:
         raise ValueError("need at least one tuple")
@@ -161,28 +141,14 @@ def sieve(r: RepresentationMap, tuples: Sequence[Sequence[int]], target: int = 2
     if target < 2:
         raise ValueError("target must be >= 2")
     padded = tuple(_padded_image(r, t) for t in tuples)
-    level_of = r.enrichment.level_of if r.enrichment is not None else {}
-
-    def shape(row):
-        return _shape_vector(r.carrier, row)
-
-    def levels(row):
-        return frozenset((pos, level_of.get(tid, 0)) for pos, tid in enumerate(row))
-
-    def qf(row):
-        return qf_type(r.target, row)
-
-    # each stage refines the last by grouping on a longer key; _group's order
-    # (size, then first member) makes that the same as refining group by group
-    keys = [()] * len(tuples)
+    terms = r.carrier.as_structure if r.carrier is not None else FiniteStructure(r.target.size)
+    levels = terms if r.enrichment is None else Enrichment(r.enrichment.levels).apply(terms)
     stages = []
-    for stage, part in (("stage0", shape), ("stage1", levels), ("stage2", qf)):
-        keys = [key + (part(row),) for key, row in zip(keys, padded)]
-        groups = _group(range(len(tuples)), keys.__getitem__)
+    for stage, reduct in (("stage0", terms), ("stage1", levels), ("stage2", r.target)):
+        groups = _group([qf_type(reduct, row) for row in padded])
         if len(groups[0]) < target:
             raise SieveBottleneck(stage, len(groups[0]), target)
         stages.append(groups)
-
     chosen = stages[2][0]
     outcome = delta_system([padded[i] for i in chosen], target)
     if isinstance(outcome, DeltaSystemFailure):
@@ -217,32 +183,6 @@ def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) 
     if problems:
         raise ValueError("witness fails to be a partial automorphism: " + "; ".join(problems))
     return pa
-
-
-def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx, policy="orbit") -> bool:
-    """Set-indiscernibility of ``tuples[k]`` for ``k`` in ``idx``: every
-    repetition-free sequence of indices gives type-equal concatenations,
-    length by length.
-
-    Takes k - 1 type queries for k indices: the concatenation c in sorted
-    index order against each of its adjacent block swaps c·σᵢ.  Both
-    policies are equivalences, and applying one position permutation τ to
-    both tuples keeps a verdict, so c ≡ c·σᵢ gives c·τ ≡ c·σᵢ·τ.  The
-    permutations π with c ≡ c·π are therefore closed under multiplication
-    by each σᵢ, and the adjacent swaps generate Sym(k).  A shorter
-    sequence is a prefix of a full one, and type equality passes to
-    prefixes.  The tuples must share one length, so that each block swap
-    is one position permutation.
-    """
-    blocks = [tuple(tuples[k]) for k in sorted(idx)]
-    if len({len(b) for b in blocks}) > 1:
-        raise ValueError("tuples must have equal length")
-
-    def cat(seq):
-        return tuple(x for b in seq for x in b)
-
-    swaps = (blocks[:i] + [blocks[i + 1], blocks[i]] + blocks[i + 2:] for i in range(len(blocks) - 1))
-    return all(type_equal(m, cat(blocks), cat(swapped), policy) for swapped in swaps)
 
 
 @record()

@@ -22,9 +22,8 @@ from functools import cached_property
 
 from repsieve._record import record
 from repsieve.enrich import Enrichment, trivial_enrichment
-from repsieve.finstruct import FiniteStructure, qf_type, type_equal
+from repsieve.finstruct import FiniteStructure, qf_type, type_equal, verify_indiscernible
 from repsieve.represent import RepresentationMap
-from repsieve.sieve import verify_indiscernible
 from repsieve.termalg import AlgebraSignature, Term, TermAlgebra
 
 __all__ = [

@@ -13,7 +13,7 @@ from repsieve import (
     type_equal,
 )
 from repsieve.finstruct import _admit_pairs, _delta_consistent
-from repsieve.sieve import _padded_image, _shape_vector
+from repsieve.sieve import _padded_image
 from repsieve.sunflower import validate_sunflower
 
 
@@ -118,6 +118,40 @@ def indiscernible_by_walk(m, tuples, idx, length, policy="orbit") -> bool:
     return True
 
 
+def shape_vector(ta, padded) -> tuple:
+    """Term shapes of a padded tuple, base leaves numbered on first
+    occurrence; with no carrier every element is a base leaf."""
+    varmap: dict = {}
+
+    def shape(tid):
+        t = ta.term(tid) if ta is not None else None
+        if t is None or t.is_base:
+            return ("v", varmap.setdefault(tid, len(varmap)))
+        return ("a", t.sym) + tuple(shape(ta.term_id(c)) for c in t.args)
+
+    return tuple(shape(i) for i in padded)
+
+
+def reference_stages(r, padded) -> tuple:
+    """Stages 0 and 1 of the sieve from hand-built keys: the groups of
+    equal term-shape vectors, then of equal shapes and level patterns
+    (every position on level 0 without an enrichment), each ordered
+    largest first, then by first member."""
+    level_of = {}
+    for i, level in enumerate(r.enrichment.levels if r.enrichment is not None else ()):
+        level_of.update(dict.fromkeys(level, i))
+    shapes = [shape_vector(r.carrier, row) for row in padded]
+    levels = [frozenset((pos, level_of.get(e, 0)) for pos, e in enumerate(row)) for row in padded]
+
+    def groups(keys):
+        out: dict = {}
+        for i, key in enumerate(keys):
+            out.setdefault(key, []).append(i)
+        return tuple(sorted(map(tuple, out.values()), key=lambda g: (-len(g), g[0])))
+
+    return groups(shapes), groups(list(zip(shapes, levels)))
+
+
 def validate_trace(trace) -> list:
     """Re-derive every trace invariant from the raw inputs; empty = valid."""
     out = []
@@ -130,18 +164,8 @@ def validate_trace(trace) -> list:
         flat = sorted(i for g in groups for i in g)
         if flat != list(range(n)):
             out.append(f"{stage_name} groups do not partition the inputs")
-    shapes = {i: _shape_vector(r.carrier, trace.padded[i]) for i in range(n)}
-    for g in trace.stage0:
-        if len({shapes[i] for i in g}) != 1:
-            out.append(f"stage0 group {g} has mixed shapes")
-    level_of = r.enrichment.level_of if r.enrichment is not None else {}
-    for g in trace.stage1:
-        pats = {
-            frozenset((pos, level_of.get(tid, 0)) for pos, tid in enumerate(trace.padded[i]))
-            for i in g
-        }
-        if len(pats) != 1:
-            out.append(f"stage1 group {g} has mixed level patterns")
+    if (trace.stage0, trace.stage1) != reference_stages(r, trace.padded):
+        out.append("stage0 or stage1 groups differ from the term-shape and level keys")
     # qf-equal padded rows are exactly those whose position-wise map is a
     # partial automorphism; this oracle does not go through the qf trie
     for g in trace.stage2:

@@ -8,10 +8,19 @@ import sys
 
 import pytest
 
-from repsieve import FiniteStructure, RepresentationMap, TheorySpec, Workspace, save_workspace
+from repsieve import (
+    FiniteStructure,
+    RepresentationMap,
+    TheorySpec,
+    Workspace,
+    load_workspace,
+    save_workspace,
+    sieve,
+)
 from repsieve.cli import run_command
 
 from conftest import save_lin4
+from reference import validate_trace
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -243,6 +252,18 @@ class TestSieve:
         assert doc["survivors"] == [0, 1, 2, 3]
         assert doc["xi"] == 1
 
+    def test_build_ex1_workspace(self, theories_ws, tmp_path):
+        # a carrier-less map whose target has the enrichment's functions
+        path, out = str(tmp_path / "ex1.json"), str(tmp_path / "trace.json")
+        assert run_command(["build-ex1", theories_ws, "--theory", "eq3x3", "--out", path]) == 0
+        assert run_command(["sieve", path, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        r = load_workspace(path).representation("eq3x3.ex1")
+        trace = sieve(r, [(a,) for a in range(r.source.size)])
+        assert validate_trace(trace) == []
+        assert doc["counts"] == trace.survivor_counts()
+        assert list(doc["counts"].values()) == [9, 4, 4, 4, 2]
+
     def test_unread_relation_is_a_stage2_bottleneck(self, tmp_path):
         # the identity of a 2-element set into a target where only 0 is in P
         target = FiniteStructure.make(2, relations={"P": (1, {(0,)})})
@@ -312,6 +333,11 @@ class TestDeltaSystem:
     def test_negative_round_count_rejected(self, capsys):
         assert run_command(["delta-system", "--random", "-5"]) == 2
         assert "--random must be >= 0, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_random_family_rejected(self, size, capsys):
+        assert run_command(["delta-system", "--random", "1", "--family-size", size]) == 2
+        assert f"--family-size must be >= 1, got {size}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sets, field, got",

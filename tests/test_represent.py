@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +113,32 @@ class TestCheckRepresentation:
         r = RepresentationMap.make(src, pure_target(4), list(range(4)))
         report = check_representation(r, CheckerPolicy(delta=("ef", 0), max_tuple_len=2))
         assert report.empty
+
+    @pytest.mark.parametrize("checker", [check_representation, check_by_partial_automorphisms])
+    @pytest.mark.parametrize(
+        "n, length", [(6, 99), (6, 8), (1000, 3), (1, 2449), (1, 10**12)],
+        ids=["pure6-99", "pure6-8", "pure1000-3", "one-2449", "one-huge"],
+    )
+    def test_tuple_bound_checked_before_allocating(self, checker, n, length):
+        r = RepresentationMap.make(FiniteStructure.make(n), pure_target(n), list(range(n)))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"max_tuple_len {length} walks source tuples"):
+                checker(r, CheckerPolicy(max_tuple_len=length))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5, elapsed
+        assert peak < 1_000_000, peak
+
+    def test_tuple_bound_admits_the_largest_walk_under_it(self):
+        # a one-element source at length 2448 holds 2448 * 2449 / 2 = 2,997,576
+        # positions, and one more length passes 3,000,000
+        r = RepresentationMap.make(FiniteStructure.make(1), pure_target(1), [0])
+        for checker in (check_representation, check_by_partial_automorphisms):
+            assert checker(r, CheckerPolicy(max_tuple_len=2448)).empty
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

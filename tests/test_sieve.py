@@ -14,17 +14,29 @@ from repsieve import (
     SieveTrace,
     Term,
     TermAlgebra,
+    TheorySpec,
+    build_layer_representation,
+    build_sid,
+    build_term_representation,
+    desk_model,
     instability_probe,
     sieve,
+    singleton_prefix,
+    theory_oracle,
     trivial_enrichment,
     type_equal,
     verify_indiscernible,
     witness_automorphism,
 )
-from repsieve.sieve import _shape_vector
 
 from conftest import eq3x3, eq_structure, linear
-from reference import indiscernible_by_walk, lift_to_terms, validate_trace
+from reference import (
+    indiscernible_by_walk,
+    lift_to_terms,
+    reference_stages,
+    shape_vector,
+    validate_trace,
+)
 from test_orbits import random_structure
 from test_represent import one_per_class_rep
 
@@ -80,7 +92,7 @@ class TestSieve:
         r = flat_rep(FiniteStructure.make(3))
         trace = sieve(r, [(1, 1, 0), (2, 2, 0)])
         assert trace.padded[0] == (1, 1, 0)
-        assert _shape_vector(r.carrier, trace.padded[0]) == (("v", 0), ("v", 0), ("v", 1))
+        assert shape_vector(r.carrier, trace.padded[0]) == (("v", 0), ("v", 0), ("v", 1))
 
     def test_survivor_counts_shape(self):
         r = eq_partner_rep(4)
@@ -131,11 +143,17 @@ class TestSieve:
         assert trace.certificate.root == frozenset({0, 2})
         assert trace.certificate.agree_idx == frozenset({0, 1})
 
-    def test_carrierless_target_with_a_function_refused(self):
+    def test_carrierless_target_with_a_function_pads_its_value(self):
+        # g(1) = 0 joins the padded row of 1, so the rows differ in length
         target = FiniteStructure.make(2, functions={"g": (1, {(1,): 0})})
         r = RepresentationMap.make(linear(2), target, {0: 0, 1: 1})
-        with pytest.raises(ValueError, match="function-free"):
+        with pytest.raises(SieveBottleneck) as exc:
             sieve(r, [(0,), (1,)])
+        assert exc.value.stage == "stage0"
+        assert exc.value.largest == 1
+        trace = sieve(r, [(1,), (1,)])
+        assert trace.padded == ((1, 0), (1, 0))
+        assert validate_trace(trace) == []
 
     def test_unread_relation_splits_stage2(self):
         # stage 2 reads the target's relations: 0 is in P and 1 is not
@@ -376,12 +394,13 @@ class TestProbe:
         with pytest.raises(ValueError, match="empty chain"):
             instability_probe(r, "lt", [])
 
-    def test_carrierless_target_with_a_function_refused(self):
+    def test_carrierless_target_with_a_function_inconclusive(self):
         src = linear(2)
         target = FiniteStructure.make(2, functions={"g": (1, {(1,): 0})})
         r = RepresentationMap.make(src, target, {0: 0, 1: 1})
-        with pytest.raises(ValueError, match="function-free"):
-            instability_probe(r, "lt", [(0,), (1,)])
+        report = instability_probe(r, "lt", [(0,), (1,)])
+        assert report.status == "inconclusive"
+        assert report.detail.startswith("stage0: largest compatible group has 1 members")
 
 
 def carrierless_map(seed):
@@ -424,6 +443,74 @@ def test_carrierless_map_sieves_and_probes_as_its_lift(seed):
     phi = "lt" if seed % 2 else by_value
     chain = [(a,) for a in range(n)]
     assert instability_probe(r, phi, chain) == instability_probe(lifted, phi, chain)
+
+
+def catalog_maps():
+    """ex2 builds in both modes and ex1 builds of two catalog theories."""
+    maps = []
+    for spec in (
+        TheorySpec.make("eq_rel", classes=3, size=3),
+        TheorySpec.make("nested_eq_rel", sizes=(2, 2, 2)),
+    ):
+        m = desk_model(spec)
+        d = build_sid(theory_oracle(spec, m), m, mode="omega_stable")
+        maps.append(build_term_representation(d, mode="copy_index"))
+        maps.append(build_term_representation(d, mode="literal"))
+        maps.append(build_layer_representation(singleton_prefix(d)))
+    return maps
+
+
+def leveled_map(seed):
+    """A seeded carrier-less map into a bare target with random unary and
+    binary relations, random levels and, on odd seeds, regressive
+    functions."""
+    rng = random.Random(f"leveled/{seed}")
+    n = rng.randint(2, 7)
+    size = rng.randint(2, 7)
+    relations = {
+        "P": (1, {(e,) for e in range(size) if rng.random() < 0.4}),
+        "R": (2, {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.2}),
+    }
+    base = FiniteStructure.make(size, relations=relations)
+    level_of = [rng.randrange(3) for _ in range(size)]
+    levels = [{e for e in range(size) if level_of[e] == i} for i in range(max(level_of) + 1)]
+    functions = {}
+    if seed % 2:
+        for name in ("d", "e"):
+            graph = {}
+            for a in range(size):
+                lower = [v for v in range(size) if level_of[v] < level_of[a]]
+                if lower and rng.random() < 0.6:
+                    graph[a] = rng.choice(lower)
+            functions[name] = graph
+    enr = Enrichment.make(levels, functions)
+    f = [rng.randrange(size) for _ in range(n)]
+    return RepresentationMap.make(FiniteStructure.make(n), enr.apply(base), f, enrichment=enr)
+
+
+def test_stage_groups_equal_the_reference_keys():
+    """Stages 0 and 1 are the groups of the hand-built term-shape and level
+    keys, both ways: each group is uniform and no two groups share a key."""
+    maps = catalog_maps() + [leveled_map(seed) for seed in range(30)]
+    outcomes = set()
+    for k, r in enumerate(maps):
+        rng = random.Random(f"stages/{k}")
+        n = r.source.size
+        for _ in range(15):
+            length = rng.randint(1, 3)
+            tuples = [tuple(rng.randrange(n) for _ in range(length)) for _ in range(rng.randint(2, 8))]
+            # a repeated tuple keeps stages 0 to 2 above the target of 2
+            tuples.append(rng.choice(tuples))
+            try:
+                trace = sieve(r, tuples)
+            except SieveBottleneck as exc:
+                outcomes.add(exc.stage)
+                assert exc.stage == "stage3", (k, tuples)
+                continue
+            outcomes.add("survived")
+            padded = trace.padded
+            assert (trace.stage0, trace.stage1) == reference_stages(r, padded), (k, tuples)
+    assert outcomes == {"survived", "stage3"}
 
 
 @given(

@@ -11,9 +11,9 @@ from repsieve.enrich import validate_enrichment
 from repsieve.finstruct import (
     FiniteStructure,
     automorphism_extending,
+    verify_indiscernible,
 )
 from repsieve.represent import CheckerPolicy, check_representation
-from repsieve.sieve import verify_indiscernible
 from repsieve.termalg import Term
 from repsieve.theories import (
     Decomposition,
