@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 
@@ -386,7 +385,11 @@ def _check_random_family_flags(args) -> None:
         raise WorkspaceError(
             f"--set-size {args.set_size} exceeds --universe {args.universe}"
         )
-    available = math.comb(args.universe, args.set_size)
+    available, k = 1, min(args.set_size, args.universe - args.set_size)
+    for i in range(1, k + 1):  # C(universe - k + i, i) only grows: stop once past the family size
+        if available >= args.family_size:
+            break
+        available = available * (args.universe - k + i) // i
     if args.family_size > available:
         raise WorkspaceError(
             f"--family-size {args.family_size} exceeds the {available} distinct "

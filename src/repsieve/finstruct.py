@@ -448,87 +448,87 @@ def _ef_equal(s: FiniteStructure, t1, t2, depth: int) -> bool:
 
 
 class _OrbitTable:
-    """Union-find over all ``n ** k`` tuples of one length, indexed in base
-    ``n`` (lexicographic order).  Kept flat: ``root[i]`` is the least index
-    of tuple ``i``'s class, so the root of a class is its least tuple."""
+    """All ``n ** k`` tuples of one length, indexed in base ``n``
+    (lexicographic order): ``root[i]`` is the least index of tuple i's
+    orbit, computed on first use.  The prefixes of length k - 1 are walked
+    orbit by orbit, each from its least member r, and each prefix p gets a
+    map u(p) of the group sending p onto r.  The orbit of p + (x,) meets
+    the tuples that start with r in r followed by the orbit of u(p)(x)
+    under the stabiliser of r, whose least element completes the least
+    index.  The Schreier generators u(g(p)) g u(p)^-1, for p in r's orbit
+    and g a generator, generate that stabiliser; their orbits are merged
+    until they are as coarse as the cells of r's refined colouring, which
+    the stabiliser preserves."""
 
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
-        self.root = list(range(n**k))
-        self.apart: set = set()  # root pairs known to lie in different orbits
+    def __init__(self, engine: "OrbitEngine", k: int):
+        self.n, self.k, self._engine = engine.size, k, engine
 
-    def index(self, t: tuple) -> int:
-        i = 0
-        for x in t:
-            i = i * self.n + x
-        return i
-
-    def close(self, perm: tuple) -> None:
-        """Merge every tuple's class with the class of its image under ``perm``."""
-        image = [0]
-        for _ in range(self.k):
-            image = [i * self.n + p for i in image for p in perm]
-        root = self.root
-
-        def find(i):
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
-        for i, j in enumerate(image):
-            a, b = find(i), find(j)
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
-        # every parent index is below its child's, so one ascending pass flattens
-        for i, p in enumerate(root):
-            root[i] = root[p]
-        self.apart = {
-            (min(root[a], root[b]), max(root[a], root[b])) for a, b in self.apart
-        }
+    @cached_property
+    def root(self) -> list:
+        n, k, gens = self.n, self.k, self._engine.automorphisms
+        images, inverses = [], []  # per generator, its action on prefix indices and its inverse
+        for perm in gens:
+            image = [0]
+            for _ in range(k - 1):
+                image = [i * n + p for i in image for p in perm]
+            images.append(image)
+            inverses.append(sorted(range(n), key=perm.__getitem__))
+        prefix_root = [-1] * n ** (k - 1)
+        to_root: list = [None] * len(prefix_root)
+        least = {}  # root prefix -> least element of each element's stabiliser orbit
+        for r, got in enumerate(prefix_root):
+            if got >= 0:
+                continue
+            prefix_root[r], to_root[r], orbit = r, tuple(range(n)), [r]
+            for p in orbit:  # grows while it is walked
+                for image, inverse in zip(images, inverses):
+                    if prefix_root[image[p]] < 0:
+                        prefix_root[image[p]], to_root[image[p]] = r, tuple([to_root[p][y] for y in inverse])
+                        orbit.append(image[p])
+            prefix = tuple(r // n ** (k - 2 - j) % n for j in range(k - 1))
+            cells, label = len(set(self._engine._level(prefix, 0)[0])), list(range(n))
+            for p in orbit:
+                if len(set(label)) == cells:
+                    break
+                for image, perm in zip(images, gens):
+                    u, v = to_root[p], to_root[image[p]]
+                    for y in range(n):
+                        if label[u[y]] != label[v[perm[y]]]:
+                            a, b = sorted((label[u[y]], label[v[perm[y]]]))
+                            label = [a if c == b else c for c in label]
+            least[r] = label
+        return [r * n + least[r][y] for p, r in enumerate(prefix_root) for y in to_root[p]]
 
 
 class OrbitEngine:
-    """Exact orbit oracle of one structure.
+    """Exact orbit oracle of one structure: ``equal(t1, t2)`` asks whether
+    some automorphism maps ``t1`` to ``t2`` pointwise.  A length registered
+    with ``build_table`` is answered from its exact orbit table, built on
+    the first query of two different tuples; any other query compares the
+    tuples' colourings, then searches, and is memoised.
 
-    A query ``equal(t1, t2)`` asks whether some automorphism maps ``t1`` to
-    ``t2`` pointwise.  It is answered in three ways, cheapest first:
-
-    * an orbit table of that tuple length, if one was built: a union-find
-      over all tuples, closed under every automorphism found so far, plus
-      the negative verdicts stored per pair of roots;
-    * colour refinement (1-dimensional Weisfeiler-Leman) of the structure
-      with each tuple's positions individualised: differing colour
-      multisets prove that no automorphism exists;
-    * otherwise individualisation-refinement search that only pairs
-      elements of equal colour.  Every automorphism it finds is kept and
-      applied to every table, present and future.
-
-    Tables are built on request, by callers that enumerate every tuple of
-    that length anyway.  Colour ids are interned per engine, so the
-    colouring of a tuple is computed once and compared against any other.
-    """
+    Each tuple's search path starts from colour refinement (1-dimensional
+    Weisfeiler-Leman) with its positions individualised; colour ids are
+    interned per engine, so any two colourings compare directly.
+    ``automorphisms`` generates the whole group: along the empty tuple's
+    path b0, ..., b(r-1), deepest level first, one search per y in b(i)'s
+    cell that the generators found so far do not send b(i) to looks for an
+    automorphism fixing b0, ..., b(i-1) and sending b(i) to y.  Refinement
+    is isomorphism-invariant and the search exhaustive, so the generators
+    found at levels >= i generate the stabiliser of b0, ..., b(i-1)."""
 
     def __init__(self, s: FiniteStructure):
         self.size = s.size
         self._atoms, self._incidence = s._atom_index
         self._ids: dict = {}  # colour signature -> colour id
-        self._colourings: dict = {}  # tuple -> (colouring, sorted colouring)
+        self._paths: dict = {}  # tuple -> the levels of its path built so far
         self._verdicts: dict = {}  # (t1, t2) with t1 < t2 -> bool, lengths without a table
         self._tables: dict = {}  # length -> _OrbitTable
-        self.automorphisms: list = []  # every one found, as image tuples
         self._base = self._refine([self._ids.setdefault(("base",), 0)] * s.size)
 
-    def build_table(self, length: int) -> None:
+    def build_table(self, length: int) -> _OrbitTable:
         """Answer every later query of this length from an orbit table."""
-        if length not in self._tables:
-            table = _OrbitTable(self.size, length)
-            for perm in self.automorphisms:
-                table.close(perm)
-            self._tables[length] = table
+        return self._tables.setdefault(length, _OrbitTable(self, length))
 
     def equal(self, t1: tuple, t2: tuple) -> bool:
         for x in t1 + t2:
@@ -537,22 +537,44 @@ class OrbitEngine:
         if t1 == t2:
             return True
         table = self._tables.get(len(t1))
-        if table is None:
-            key = (t1, t2) if t1 < t2 else (t2, t1)
-            verdict = self._verdicts.get(key)
-            if verdict is None:
-                verdict = self._verdicts[key] = self._search_pair(t1, t2)
-            return verdict
-        a, b = table.root[table.index(t1)], table.root[table.index(t2)]
-        if a == b:
-            return True
-        key = (a, b) if a < b else (b, a)
-        if key in table.apart:
-            return False
-        if self._search_pair(t1, t2):
-            return True
-        table.apart.add(key)
-        return False
+        if table is not None:
+            i1 = i2 = 0
+            for x, y in zip(t1, t2):
+                i1, i2 = i1 * self.size + x, i2 * self.size + y
+            return table.root[i1] == table.root[i2]
+        key = (t1, t2) if t1 < t2 else (t2, t1)
+        if key not in self._verdicts:
+            cb, sorted_b, _, _ = self._level(t2, 0)
+            self._verdicts[key] = sorted_b == self._level(t1, 0)[1] and self._search(t1, 0, cb) is not None
+        return self._verdicts[key]
+
+    @cached_property
+    def automorphisms(self) -> list:
+        """A generating set of the automorphism group, as image tuples."""
+        depth = 0
+        while self._level((), depth)[2] is not None:
+            depth += 1
+        gens: list = []
+        for i in reversed(range(depth)):
+            col, _, target, b = self._level((), i)
+            orbit = self._orbit(b, gens)
+            for y, c in enumerate(col):
+                if c == target and y not in orbit:
+                    nb = self._individualise(col, y)
+                    perm = self._search((), i + 1, nb) if sorted(nb) == self._level((), i + 1)[1] else None
+                    if perm is not None:
+                        gens.append(perm)
+                        orbit = self._orbit(b, gens)
+        return gens
+
+    @staticmethod
+    def _orbit(x: int, gens: list) -> set:
+        orbit, frontier = {x}, [x]
+        for y in frontier:  # grows while it is walked
+            for z in {perm[y] for perm in gens} - orbit:
+                orbit.add(z)
+                frontier.append(z)
+        return orbit
 
     def _refine(self, col: list) -> tuple:
         """Refine to the coarsest equitable colouring below ``col``.  An
@@ -577,21 +599,24 @@ class OrbitEngine:
                 return tuple(col)
             cells = k
 
-    def _colouring(self, t: tuple) -> tuple:
-        got = self._colourings.get(t)
-        if got is None:
-            positions: dict = {}
-            for i, x in enumerate(t):
-                positions.setdefault(x, []).append(i)
-            ids = self._ids
-            col = self._refine(
-                [
-                    ids.setdefault(("tuple", c, tuple(positions.get(x, ()))), len(ids))
+    def _level(self, t: tuple, i: int) -> tuple:
+        """Level ``i`` of ``t``'s search path, grown on demand: a colouring,
+        its sorted colours, and the colour and first element of its
+        smallest non-singleton cell (least colour on ties) or None twice,
+        which the next level individualises."""
+        path = self._paths.setdefault(t, [])
+        while len(path) <= i:
+            if path:
+                col = self._individualise(path[-1][0], path[-1][3])
+            else:
+                ids = self._ids
+                col = self._refine([
+                    ids.setdefault(("tuple", c, tuple(j for j, y in enumerate(t) if y == x)), len(ids))
                     for x, c in enumerate(self._base)
-                ]
-            )
-            got = self._colourings[t] = (col, sorted(col))
-        return got
+                ])
+            target = min(((col.count(c), c) for c in set(col) if col.count(c) > 1), default=(0, None))[1]
+            path.append((col, sorted(col), target, None if target is None else col.index(target)))
+        return path[i]
 
     def _individualise(self, col: tuple, x: int) -> tuple:
         ids = self._ids
@@ -599,41 +624,27 @@ class OrbitEngine:
             [ids.setdefault((c, z == x), len(ids)) for z, c in enumerate(col)]
         )
 
-    def _search_pair(self, t1: tuple, t2: tuple) -> bool:
-        ca, sorted_a = self._colouring(t1)
-        cb, sorted_b = self._colouring(t2)
-        if sorted_a != sorted_b:
-            return False
-        perm = self._search(ca, cb)
-        if perm is None:
-            return False
-        self.automorphisms.append(perm)
-        for table in self._tables.values():
-            table.close(perm)
-        return True
-
-    def _search(self, ca: tuple, cb: tuple):
-        """An automorphism sending each element of colour c under ``ca`` to
-        one of colour c under ``cb``, or None.  Both colourings are
-        equitable with equal multisets."""
-        cells: dict = {}
-        for x, c in enumerate(ca):
-            cells.setdefault(c, []).append(x)
-        if len(cells) == len(ca):
-            where = {c: y for y, c in enumerate(cb)}
-            perm = tuple(where[c] for c in ca)
-            atoms = self._atoms
-            if all((name, tuple(perm[e] for e in elems)) in atoms for name, elems in atoms):
-                return perm
+    def _search(self, t: tuple, i: int, cb: tuple):
+        """An automorphism sending each element of colour c under level
+        ``i`` of ``t``'s path to one of colour c under ``cb``, or None.
+        Both colourings are equitable with equal multisets.  Pairing each
+        colour's elements in increasing order is tried first: the only
+        candidate once discrete, on catalog models it mostly ends at once."""
+        ca, _, target, _ = self._level(t, i)
+        n = self.size
+        perm = [0] * n
+        for x, y in zip(sorted(range(n), key=ca.__getitem__), sorted(range(n), key=cb.__getitem__)):
+            perm[x] = y
+        if all((name, tuple(perm[e] for e in elems)) in self._atoms for name, elems in self._atoms):
+            return tuple(perm)
+        if target is None:
             return None
-        _, target = min((len(xs), c) for c, xs in cells.items() if len(xs) > 1)
-        na = self._individualise(ca, cells[target][0])
-        sorted_na = sorted(na)
+        sorted_na = self._level(t, i + 1)[1]
         for y, c in enumerate(cb):
             if c == target:
                 nb = self._individualise(cb, y)
                 if sorted(nb) == sorted_na:
-                    perm = self._search(na, nb)
+                    perm = self._search(t, i + 1, nb)
                     if perm is not None:
                         return perm
         return None

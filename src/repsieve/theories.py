@@ -22,7 +22,7 @@ from functools import cached_property
 
 from repsieve._record import record
 from repsieve.enrich import Enrichment, trivial_enrichment
-from repsieve.finstruct import FiniteStructure, qf_type, type_equal, verify_indiscernible
+from repsieve.finstruct import FiniteStructure, qf_type, verify_indiscernible
 from repsieve.represent import RepresentationMap
 from repsieve.termalg import AlgebraSignature, Term, TermAlgebra
 
@@ -293,37 +293,22 @@ class Decomposition:
 
 
 def _max_indiscernible(m: FiniteStructure) -> tuple:
-    """Largest set whose ordered pairs all share one orbit type, grown
-    greedily from every symmetric seed pair; ties favor the smallest set.
-
-    Pair orbits are canonicalised up front: one comparison per pair and
-    orbit representative instead of one per pair and seed."""
-    best = (0,) if m.size else ()
-    m.orbits.build_table(2)
-    reps: list = []
-    cls: dict = {}
-    for p in itertools.permutations(range(m.size), 2):
-        for rid, rep in enumerate(reps):
-            if type_equal(m, p, rep, "orbit"):
-                cls[p] = rid
-                break
-        else:
-            cls[p] = len(reps)
-            reps.append(p)
-    for i, j in itertools.combinations(range(m.size), 2):
-        ref = cls[(i, j)]
-        if cls[(j, i)] != ref:
+    """Largest set whose ordered pairs all share one orbit (a root of the
+    model's length-2 orbit table), grown greedily from every symmetric
+    seed pair; ties favor the smallest set."""
+    n = m.size
+    best = (0,) if n else ()
+    cls = m.orbits.build_table(2).root
+    for i, j in itertools.combinations(range(n), 2):
+        ref = cls[i * n + j]
+        if cls[j * n + i] != ref:
             continue
         group = [i, j]
-        for c in range(m.size):
-            if c in group:
-                continue
-            if all(
-                cls[(x, c)] == ref and cls[(c, x)] == ref for x in group
-            ):
+        for c in range(n):
+            if c not in group and all(cls[x * n + c] == ref == cls[c * n + x] for x in group):
                 group.append(c)
         cand = tuple(sorted(group))
-        if best is None or (-len(cand), cand) < (-len(best), best):
+        if (-len(cand), cand) < (-len(best), best):
             best = cand
     return best
 

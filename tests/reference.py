@@ -82,6 +82,37 @@ def ef_game_with_repeats(s):
     return equal
 
 
+def max_indiscernible_by_representatives(m) -> tuple:
+    """The first layer of ``build_sid`` from pair classes found by
+    comparing each ordered pair with one representative per class found
+    so far: largest set whose ordered pairs all share one orbit type,
+    grown greedily from every symmetric seed pair, ties to the smallest
+    set."""
+    best = (0,) if m.size else ()
+    reps: list = []
+    cls: dict = {}
+    for p in itertools.permutations(range(m.size), 2):
+        for rid, rep in enumerate(reps):
+            if type_equal(m, p, rep, "orbit"):
+                cls[p] = rid
+                break
+        else:
+            cls[p] = len(reps)
+            reps.append(p)
+    for i, j in itertools.combinations(range(m.size), 2):
+        ref = cls[(i, j)]
+        if cls[(j, i)] != ref:
+            continue
+        group = [i, j]
+        for c in range(m.size):
+            if c not in group and all(cls[(x, c)] == ref and cls[(c, x)] == ref for x in group):
+                group.append(c)
+        cand = tuple(sorted(group))
+        if (-len(cand), cand) < (-len(best), best):
+            best = cand
+    return best
+
+
 def lift_to_terms(r):
     """View a function-free target as a term carrier with no symbols and a
     trivial enrichment, keeping the target's relations: the reference for

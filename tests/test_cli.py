@@ -1,10 +1,12 @@
 """Command line: exit codes, reports, determinism."""
 
+import argparse
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +19,8 @@ from repsieve import (
     save_workspace,
     sieve,
 )
-from repsieve.cli import run_command
+from repsieve.cli import _check_random_family_flags, run_command
+from repsieve.workspace import WorkspaceError
 
 from conftest import save_lin4
 from reference import validate_trace
@@ -358,6 +361,22 @@ class TestDeltaSystem:
         # all three 2-sets of a 3-element universe: the check must not reject it
         assert run_command(["delta-system", "--random", "1", "--family-size", "3",
                             "--set-size", "2", "--universe", "3", "--target", "2"]) == 0
+
+    def test_family_size_check_stops_counting_early(self):
+        # C(10**6, 5 * 10**5) has about 300,000 digits; the check needs only
+        # to know that it passes the family size
+        args = argparse.Namespace(random=1, family_size=10, universe=1_000_000, set_size=500_000)
+        start = time.perf_counter()
+        _check_random_family_flags(args)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("universe, set_size, available", [(3, 1, 3), (6, 3, 20), (7, 5, 21)])
+    def test_family_size_rejection_names_the_exact_count(self, universe, set_size, available):
+        args = argparse.Namespace(random=1, family_size=available + 1, universe=universe, set_size=set_size)
+        with pytest.raises(WorkspaceError, match=f"exceeds the {available} distinct {set_size}-sets"):
+            _check_random_family_flags(args)
+        _check_random_family_flags(argparse.Namespace(
+            random=1, family_size=available, universe=universe, set_size=set_size))
 
 
 class TestProbe:

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repsieve import FiniteStructure, PartialAutomorphism, type_equal
-from repsieve.finstruct import _OrbitTable, automorphism_extending
+from repsieve.finstruct import automorphism_extending
 
 SEEDS = range(40)
 
@@ -132,20 +132,12 @@ def test_verdicts_match_both_references(seed):
             assert type_equal(one_off, t1, t2) == expected, (t1, t2)
             assert type_equal(tabled, t1, t2) == expected, (t1, t2)
             assert type_equal(tabled, t2, t1) == expected, (t2, t1)
-    for table in tabled.orbits._tables.values():
-        # negative verdicts stay keyed by current roots as classes merge
-        for a, b in table.apart:
-            assert a < b and table.root[a] == a and table.root[b] == b
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_harvested_automorphisms_are_valid(seed):
-    rng = random.Random(2000 + seed)
+    # the generating set is computed on first access, without any query
     s = random_structure(seed)
-    auts = brute_automorphisms(s)
-    for length in range(1, 4):
-        for t1, t2 in query_pairs(s, auts, rng, length, 12):
-            type_equal(s, t1, t2)
     for perm in s.orbits.automorphisms:
         assert sorted(perm) == list(range(s.size))
         assert PartialAutomorphism.from_dict(dict(enumerate(perm))).violations(s) == []
@@ -153,6 +145,8 @@ def test_harvested_automorphisms_are_valid(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tables_built_before_and_after_harvest_agree(seed):
+    # build_table only registers a length, so queries of other lengths
+    # build nothing for it: each table is built when its roots are read
     rng = random.Random(3000 + seed)
     early = random_structure(seed)
     late = random_structure(seed)
@@ -179,11 +173,60 @@ def test_table_reaches_the_orbit_partition(seed):
     assert table_partition(s, 2) == truth
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tables_of_lengths_one_and_three_are_the_orbit_partitions(seed):
+    # each tuple's prefix orbit and its last element's orbit under the
+    # prefix's stabiliser, at the shortest and the longest length checked
+    s = random_structure(seed)
+    auts = brute_automorphisms(s)
+    for length in (1, 3):
+        assert s.orbits.build_table(length).root == generated_partition(s.size, length, auts)
+
+
+def triangles_and_hexagon():
+    """Two triangles beside a hexagon: every element has two neighbours,
+    so colour refinement leaves one cell, while the triangles' elements
+    and the hexagon's form two orbits."""
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    edges += [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+    return FiniteStructure.make(12, relations={"E": (2, {e for a, b in edges for e in ((a, b), (b, a))})})
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_table_is_exact_where_refinement_is_not(length):
+    # each tuple lies in its root's orbit, and distinct roots in distinct orbits
+    s = triangles_and_hexagon()
+    tuples = list(itertools.product(range(s.size), repeat=length))
+    root = s.orbits.build_table(length).root
+    for i, t in enumerate(tuples):
+        assert automorphism_extending(s, tuples[root[i]], t) is not None
+    for a, b in itertools.combinations(sorted(set(root)), 2):
+        assert automorphism_extending(s, tuples[a], tuples[b]) is None
+    if length == 1:
+        assert root == [0] * 6 + [6] * 6
+
+
+def test_searches_without_a_table_are_exact_where_refinement_is_not():
+    tabled = triangles_and_hexagon()
+    one_off = triangles_and_hexagon()
+    tuples = list(itertools.product(range(12), repeat=2))
+    root = tabled.orbits.build_table(2).root
+    for i, t in enumerate(tuples):
+        for r in sorted(set(root)):
+            assert type_equal(one_off, t, tuples[r]) == (root[i] == r)
+
+
 def test_table_stays_flat_when_a_cycle_attaches_a_root_late():
-    # 0 -> 3, 1 -> 2, 2 -> 0: index 2 is attached to 1 before 1 is attached to 0
-    table = _OrbitTable(4, 1)
-    table.close((3, 2, 0, 1))
-    assert table.root == [0, 0, 0, 0]
+    # a directed 4-cycle 0 -> 3 -> 1 -> 2 -> 0: its group is generated by
+    # the perm (3, 2, 0, 1), and every element's root is 0, the least of
+    # its one orbit, however late the walk reaches it
+    perm = (3, 2, 0, 1)
+    s = FiniteStructure.make(4, relations={"E": (2, {(x, perm[x]) for x in range(4)})})
+    assert s.orbits.build_table(1).root == [0, 0, 0, 0]
+    # on pairs: four orbits of four, led by (0, 0), (0, 1), (0, 2), (0, 3)
+    root = s.orbits.build_table(2).root
+    assert root == generated_partition(4, 2, [perm])
+    assert sorted(set(root)) == [0, 1, 2, 3]
 
 
 def pure_set(n):

@@ -18,6 +18,7 @@ from repsieve.termalg import Term
 from repsieve.theories import (
     Decomposition,
     TheorySpec,
+    _max_indiscernible,
     build_layer_representation,
     build_sid,
     build_term_representation,
@@ -29,7 +30,8 @@ from repsieve.theories import (
     verify_decomposition,
 )
 
-from reference import all_extensions
+from reference import all_extensions, max_indiscernible_by_representatives
+from test_orbits import SEEDS, random_structure
 
 LEN3 = CheckerPolicy(max_tuple_len=3)
 
@@ -574,3 +576,26 @@ def test_layer_builds_represent(pick):
     m, o = catalog(tag, **kw)
     r = build_layer_representation(singleton_prefix(build_sid(o, m)))
     assert check_representation(r, CheckerPolicy(max_tuple_len=2)).empty
+
+
+@pytest.mark.parametrize(
+    "tag, kw",
+    SMALL_SPECS + [
+        ("eq_rel", dict(classes=5, size=4)),
+        ("nested_eq_rel", dict(sizes=(2, 3, 2))),
+        ("nested_eq_rel", dict(sizes=(3, 3, 3))),
+        ("pure_set", dict(n=12)),
+        ("linear_order", dict(n=6)),
+    ],
+)
+def test_first_layer_matches_the_representative_loop_on_the_catalog(tag, kw):
+    # two models, so that the loop's queries search instead of reading the table
+    spec = TheorySpec.make(tag, **kw)
+    assert _max_indiscernible(desk_model(spec)) == max_indiscernible_by_representatives(desk_model(spec))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_layer_matches_the_representative_loop_on_seeded_structures(seed):
+    assert _max_indiscernible(random_structure(seed)) == max_indiscernible_by_representatives(
+        random_structure(seed)
+    )
