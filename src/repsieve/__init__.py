@@ -64,7 +64,6 @@ from repsieve.theories import (
     verify_decomposition,
 )
 from repsieve.workspace import (
-    RepresentationEntry,
     Workspace,
     WorkspaceError,
     load_workspace,

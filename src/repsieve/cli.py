@@ -248,13 +248,10 @@ def _emit(args, human: str, machine: dict) -> None:
 def _parse_delta(text: str):
     if text == "orbit":
         return "orbit"
-    if text.startswith("ef:"):
-        try:
-            depth = int(text[3:])
-        except ValueError:
-            depth = -1
-        if depth >= 0:
-            return ("ef", depth)
+    digits = text[3:]
+    # int() would also take "3_0", "+3", " 3" and non-ASCII digits
+    if text.startswith("ef:") and digits.isascii() and digits.isdigit():
+        return ("ef", int(digits))
     raise WorkspaceError(f"--delta must be 'orbit' or 'ef:D', got {text!r}")
 
 
@@ -266,6 +263,8 @@ def _policy(args) -> CheckerPolicy:
 
 def _pick_representation(ws: Workspace, name):
     if name is None:
+        if not ws.representations:
+            raise WorkspaceError("representations: the workspace holds none")
         if len(ws.representations) != 1:
             raise WorkspaceError(
                 "--rep is required when the workspace holds "
@@ -277,6 +276,8 @@ def _pick_representation(ws: Workspace, name):
 
 def _theory_from(ws: Workspace, name):
     if name is None:
+        if not ws.theories:
+            raise WorkspaceError("theories: the workspace holds none")
         if len(ws.theories) != 1:
             raise WorkspaceError(
                 f"--theory is required when the workspace holds {len(ws.theories)} theories"

@@ -18,7 +18,7 @@ from repsieve.finstruct import FiniteStructure, PartialFn
 __all__ = ["Enrichment", "trivial_enrichment", "validate_enrichment"]
 
 
-@record()
+@record
 class Enrichment:
     levels: tuple  # levels[i] = frozenset of elements at level i
     functions: tuple = ()  # unary PartialFn, regressive across levels

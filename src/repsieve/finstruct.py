@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@record()
+@record
 class Relation:
     name: str
     arity: int
@@ -53,7 +53,7 @@ class Relation:
                 raise ValueError(f"relation {self.name}: tuple {t} has arity != {self.arity}")
 
 
-@record()
+@record
 class PartialFn:
     """Partial function given by its graph, stored as sorted (args, value) pairs."""
 
@@ -74,7 +74,7 @@ class PartialFn:
         return dict(self.graph)
 
 
-@record()
+@record
 class FiniteStructure:
     size: int
     relations: tuple = ()
@@ -709,7 +709,7 @@ def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx, policy="orbit"
     return all(type_equal(m, cat(blocks), cat(swapped), policy) for swapped in swaps)
 
 
-@record()
+@record
 class PartialAutomorphism:
     """Injective partial map preserving relations and function graphs in both
     directions (graphs read relationally, restricted to the map's domain and

@@ -47,7 +47,7 @@ __all__ = [
 MAX_TUPLE_POSITIONS = 3_000_000
 
 
-@record()
+@record
 class RepresentationMap:
     """Total map from the source universe into the target structure.
 
@@ -94,7 +94,7 @@ class RepresentationMap:
         return out
 
 
-@record()
+@record
 class CheckerPolicy:
     """Source-side type oracle and tuple length bound.  Image types are
     always quantifier-free."""
@@ -108,7 +108,7 @@ class CheckerPolicy:
         _check_delta(self.delta)
 
 
-@record()
+@record
 class ViolationReport:
     """``entries`` are the violating pairs ``(a, b)`` of source tuples:
     their images share a qf type (``check_representation``) or are matched

@@ -73,7 +73,7 @@ class SieveBottleneck(Exception):
         )
 
 
-@record()
+@record
 class SieveTrace:
     r: RepresentationMap
     tuples: tuple  # source tuples, as given
@@ -185,7 +185,7 @@ def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) 
     return pa
 
 
-@record()
+@record
 class ProbeReport:
     status: str  # "representation_refuted" | "chain_refuted" | "inconclusive"
     pair: tuple | None = None  # chain indices (i, j) the refutation rests on

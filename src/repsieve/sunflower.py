@@ -31,7 +31,7 @@ __all__ = [
 EXHAUSTIVE_THRESHOLD = 200
 
 
-@record()
+@record
 class SunflowerCertificate:
     selected: tuple  # family indices, ascending
     root: frozenset  # common pairwise value-set intersection
@@ -41,7 +41,7 @@ class SunflowerCertificate:
     mode: str  # "exhaustive" | "greedy"
 
 
-@record()
+@record
 class DeltaSystemFailure:
     target: int
     reason: str

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@record()
+@record
 class Term:
     """Either a base element (``sym is None``) or an application."""
 
@@ -69,7 +69,7 @@ class Term:
         return f"Term[{self.render()}]"
 
 
-@record()
+@record
 class AlgebraSignature:
     """Function symbols with arities, in a fixed order."""
 
@@ -86,13 +86,6 @@ class AlgebraSignature:
     @classmethod
     def make(cls, arities: Mapping[str, int]) -> "AlgebraSignature":
         return cls(tuple(sorted(arities.items())))
-
-    @cached_property
-    def arities(self) -> dict:
-        return dict(self.symbols)
-
-    def arity(self, sym: str) -> int:
-        return self.arities[sym]
 
     def __iter__(self):
         return iter(self.symbols)
@@ -133,7 +126,7 @@ def build_terms(
     return terms
 
 
-@record()
+@record
 class TermAlgebra:
     """A deduplicated depth-bounded term table with a relational view."""
 

@@ -42,7 +42,7 @@ __all__ = [
     "build_layer_representation",
 ]
 
-@record()
+@record
 class TheorySpec:
     """Catalog entry: a tag plus its desk-model parameters."""
 
@@ -137,7 +137,7 @@ def desk_model(spec: TheorySpec) -> FiniteStructure:
     raise ValueError(f"unknown catalog tag {spec.tag!r}")
 
 
-@record(eq=False)
+@record
 class IndependenceOracle:
     """Callback bundle answering independence questions for one desk model.
 
@@ -245,7 +245,7 @@ def check_strongly_independent(o: IndependenceOracle, elems, over) -> bool:
     )
 
 
-@record()
+@record
 class ElementRecord:
     element: int
     layer: int
@@ -254,7 +254,7 @@ class ElementRecord:
     copy_index: int  # rank among same-layer elements sharing (base, type)
 
 
-@record(eq=False)
+@record
 class Decomposition:
     layers: tuple  # tuple of ascending element tuples
     mode: str  # "generic" | "omega_stable"

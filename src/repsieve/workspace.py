@@ -1,10 +1,14 @@
 """JSON workspace documents.
 
-One self-describing file carries named structures, enrichments, term
-signatures, representation maps, and theory specs, so commands can feed
-each other without path plumbing.  Rendering is canonical: section keys
-are sorted, everything else follows the deterministic order the objects
-themselves carry, so identical inputs give identical bytes and
+A workspace holds named representation maps and theory specs.  Its file
+stores each map by reference into named sections of structures,
+enrichments and term signatures, so commands can feed each other without
+path plumbing; a map with a carrier or an enrichment stores them in place
+of its target, which loading rebuilds from them.  Loading resolves every
+entry once, and saving writes each map's parts under names derived from
+the map's own.  Rendering is canonical: section keys are sorted,
+everything else follows the deterministic order the objects themselves
+carry, so identical inputs give identical bytes and
 ``parse(render(ws))`` returns an equal workspace.
 """
 
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import json
 
-from repsieve._record import Factory, record
 from repsieve.enrich import Enrichment
 from repsieve.finstruct import FiniteStructure
 from repsieve.represent import RepresentationMap
@@ -22,7 +25,6 @@ from repsieve.theories import TheorySpec
 __all__ = [
     "SCHEMA_VERSION",
     "WorkspaceError",
-    "RepresentationEntry",
     "Workspace",
     "parse_workspace",
     "render_workspace",
@@ -39,31 +41,6 @@ class WorkspaceError(ValueError):
     """Malformed document; the message names the offending field."""
 
 
-@record()
-class RepresentationEntry:
-    """A representation stored by reference into the named sections.
-
-    Its target is either the named structure ``target`` or, when a
-    ``carrier`` or an ``enrichment`` is named, rebuilt from them on every
-    resolution; an entry names one or the other, never both."""
-
-    source: str
-    map: tuple
-    target: str = None
-    carrier: str = None
-    enrichment: str = None
-
-    def __post_init__(self):
-        derived = self.carrier is not None or self.enrichment is not None
-        if self.target is not None and derived:
-            raise WorkspaceError(
-                "target: not allowed beside a carrier or an enrichment, which "
-                "determine the target; rebuild the workspace with build-ex1 or build-ex2"
-            )
-        if self.target is None and not derived:
-            raise WorkspaceError("target: missing, and no carrier or enrichment to derive it from")
-
-
 def _derived_target(carrier: TermAlgebra, enrichment: Enrichment) -> FiniteStructure:
     """The enrichment applied to the carrier's structure, or to a bare
     universe of the enrichment's size when there is no carrier."""
@@ -74,80 +51,35 @@ def _derived_target(carrier: TermAlgebra, enrichment: Enrichment) -> FiniteStruc
     return base if enrichment is None else enrichment.apply(base)
 
 
-@record(frozen=False)
 class Workspace:
-    structures: dict = Factory(dict)
-    enrichments: dict = Factory(dict)
-    signatures: dict = Factory(dict)  # name -> TermAlgebra
-    representations: dict = Factory(dict)  # name -> RepresentationEntry
-    theories: dict = Factory(dict)  # name -> TheorySpec
+    """Named representation maps and theory specs."""
+
+    def __init__(self):
+        self.representations = {}  # name -> RepresentationMap
+        self.theories = {}  # name -> TheorySpec
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.representations, self.theories) == (other.representations, other.theories)
+        return NotImplemented
 
     def representation(self, name: str) -> RepresentationMap:
-        """Resolve a stored entry into a live representation map.  Every
-        reference, the derived target and the map are checked here."""
-        where = f"representations.{name}"
-        e = self.representations.get(name)
-        if e is None:
-            raise WorkspaceError(f"{where}: no such entry")
-
-        def resolve(section: str, kind: str, ref):
-            table = getattr(self, section)
-            if ref is not None and ref not in table:
-                raise WorkspaceError(f"{where}: unresolved {kind} {ref!r}")
-            return table.get(ref)
-
-        source = resolve("structures", "reference", e.source)
-        carrier = resolve("signatures", "signature", e.carrier)
-        enrichment = resolve("enrichments", "enrichment", e.enrichment)
-        if e.target is not None:
-            target = resolve("structures", "reference", e.target)
-        else:
-            try:
-                target = _derived_target(carrier, enrichment)
-            except ValueError as exc:
-                raise WorkspaceError(f"{where}: {exc}") from exc
-        if len(e.map) != source.size:
-            raise WorkspaceError(
-                f"{where}: map has {len(e.map)} entries for a universe of {source.size}"
-            )
-        bad = [
-            x for x in e.map
-            if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < target.size)
-        ]
-        if bad:
-            raise WorkspaceError(f"{where}: image {bad[0]!r} outside the target universe")
-        return RepresentationMap.make(
-            source, target, list(e.map), carrier=carrier, enrichment=enrichment
-        )
+        r = self.representations.get(name)
+        if r is None:
+            raise WorkspaceError(f"representations.{name}: no such entry")
+        return r
 
     def add_representation(self, name: str, r: RepresentationMap) -> str:
-        """Store a live representation map and everything it references.  A
-        map with a carrier or an enrichment stores them in place of its
-        target, so its target must be the one they derive."""
+        """Store a live representation map.  A map with a carrier or an
+        enrichment is saved with them in place of its target, so its target
+        must be the one they derive."""
         derived = r.carrier is not None or r.enrichment is not None
         if derived and _derived_target(r.carrier, r.enrichment) != r.target:
             raise ValueError(
                 f"representations.{name}: the target is not the one its carrier "
                 "and enrichment derive"
             )
-        self.structures[f"{name}.source"] = r.source
-        target = carrier = enrichment = None
-        if not derived:
-            target = f"{name}.target"
-            self.structures[target] = r.target
-        if r.carrier is not None:
-            carrier = f"{name}.carrier"
-            self.signatures[carrier] = r.carrier
-        if r.enrichment is not None:
-            enrichment = f"{name}.enrichment"
-            self.enrichments[enrichment] = r.enrichment
-        self.representations[name] = RepresentationEntry(
-            source=f"{name}.source",
-            map=tuple(r.f),
-            target=target,
-            carrier=carrier,
-            enrichment=enrichment,
-        )
+        self.representations[name] = r
         return name
 
 
@@ -277,19 +209,58 @@ def _theory_parse(doc, where: str) -> TheorySpec:
         raise WorkspaceError(f"{where}.{exc}") from exc
 
 
-def _entry_parse(doc, where: str) -> RepresentationEntry:
+def _entry_check(doc, where: str) -> None:
+    """Check an entry's shape.  Its target is either the named structure
+    ``target`` or, when a ``carrier`` or an ``enrichment`` is named, derived
+    from them; an entry names one or the other, never both."""
     _expect_keys(doc, where, {"source", "map"}, {"target", "carrier", "enrichment"})
     if not isinstance(doc["map"], list):
         raise WorkspaceError(f"{where}: map is not a list")
-    refs = {
-        key: _str(doc[key], f"{where}.{key}")
-        for key in ("source", "target", "carrier", "enrichment")
-        if key in doc
-    }
-    try:
-        return RepresentationEntry(map=tuple(doc["map"]), **refs)
-    except WorkspaceError as exc:
-        raise WorkspaceError(f"{where}.{exc}") from exc
+    for key in ("source", "target", "carrier", "enrichment"):
+        if key in doc:
+            _str(doc[key], f"{where}.{key}")
+    derived = "carrier" in doc or "enrichment" in doc
+    if "target" in doc and derived:
+        raise WorkspaceError(
+            f"{where}.target: not allowed beside a carrier or an enrichment, which "
+            "determine the target; rebuild the workspace with build-ex1 or build-ex2"
+        )
+    if "target" not in doc and not derived:
+        raise WorkspaceError(f"{where}.target: missing, and no carrier or enrichment to derive it from")
+
+
+def _entry_resolve(doc, parts: dict, where: str) -> RepresentationMap:
+    """The live map of a shape-checked entry.  Every reference, the derived
+    target and the map are checked here."""
+
+    def resolve(section: str, kind: str, key: str):
+        ref = doc.get(key)
+        if ref is not None and ref not in parts[section]:
+            raise WorkspaceError(f"{where}: unresolved {kind} {ref!r}")
+        return parts[section].get(ref)
+
+    source = resolve("structures", "reference", "source")
+    carrier = resolve("signatures", "signature", "carrier")
+    enrichment = resolve("enrichments", "enrichment", "enrichment")
+    if "target" in doc:
+        target = resolve("structures", "reference", "target")
+    else:
+        try:
+            target = _derived_target(carrier, enrichment)
+        except ValueError as exc:
+            raise WorkspaceError(f"{where}: {exc}") from exc
+    images = doc["map"]
+    if len(images) != source.size:
+        raise WorkspaceError(
+            f"{where}: map has {len(images)} entries for a universe of {source.size}"
+        )
+    bad = [
+        x for x in images
+        if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < target.size)
+    ]
+    if bad:
+        raise WorkspaceError(f"{where}: image {bad[0]!r} outside the target universe")
+    return RepresentationMap.make(source, target, images, carrier=carrier, enrichment=enrichment)
 
 
 def _plain(v):
@@ -349,34 +320,34 @@ def _expect_keys(doc, where: str, required: set, optional: set):
         raise WorkspaceError(f"{where}: unknown field {sorted(stray)[0]!r}")
 
 
+def _entry_doc(name: str, r: RepresentationMap, parts: dict) -> dict:
+    """Add the map's parts to ``parts`` under names derived from ``name``
+    and return its entry."""
+    entry = {"source": f"{name}.source"}
+    parts["structures"][entry["source"]] = _structure_doc(r.source)
+    if r.carrier is None and r.enrichment is None:
+        entry["target"] = f"{name}.target"
+        parts["structures"][entry["target"]] = _structure_doc(r.target)
+    entry["map"] = list(r.f)
+    if r.carrier is not None:
+        entry["carrier"] = f"{name}.carrier"
+        parts["signatures"][entry["carrier"]] = _signature_doc(r.carrier)
+    if r.enrichment is not None:
+        entry["enrichment"] = f"{name}.enrichment"
+        parts["enrichments"][entry["enrichment"]] = _enrichment_doc(r.enrichment)
+    return entry
+
+
 def render_workspace(ws: Workspace) -> str:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "structures": {
-            name: _structure_doc(s) for name, s in sorted(ws.structures.items())
-        },
-        "enrichments": {
-            name: _enrichment_doc(e) for name, e in sorted(ws.enrichments.items())
-        },
-        "signatures": {
-            name: _signature_doc(ta) for name, ta in sorted(ws.signatures.items())
-        },
-        "representations": {
-            name: {
-                key: value
-                for key, value in (
-                    ("source", e.source),
-                    ("target", e.target),
-                    ("map", list(e.map)),
-                    ("carrier", e.carrier),
-                    ("enrichment", e.enrichment),
-                )
-                if value is not None
-            }
-            for name, e in sorted(ws.representations.items())
-        },
-        "theories": {name: _theory_doc(t) for name, t in sorted(ws.theories.items())},
+    parts = {"structures": {}, "enrichments": {}, "signatures": {}}
+    entries = {
+        name: _entry_doc(name, r, parts) for name, r in sorted(ws.representations.items())
     }
+    doc = {"version": SCHEMA_VERSION}
+    for section, docs in parts.items():
+        doc[section] = dict(sorted(docs.items()))
+    doc["representations"] = entries
+    doc["theories"] = {name: _theory_doc(t) for name, t in sorted(ws.theories.items())}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -391,19 +362,21 @@ def parse_workspace(text: str) -> Workspace:
             f"version: expected {SCHEMA_VERSION}, got {doc['version']!r}"
         )
     sections = {key: _object(doc.get(key, {}), key) for key in _SECTIONS}
-    ws = Workspace()
     # entries first: an entry of an older shape is reported as such, before
     # the sections it references
     for name, sub in sections["representations"].items():
-        ws.representations[name] = _entry_parse(sub, f"representations.{name}")
-    for name, sub in sections["structures"].items():
-        ws.structures[name] = _structure_parse(sub, f"structures.{name}")
-    for name, sub in sections["enrichments"].items():
-        ws.enrichments[name] = _enrichment_parse(sub, f"enrichments.{name}")
-    for name, sub in sections["signatures"].items():
-        ws.signatures[name] = _signature_parse(sub, f"signatures.{name}")
-    for name in ws.representations:
-        ws.representation(name)
+        _entry_check(sub, f"representations.{name}")
+    parts = {
+        section: {name: parse(sub, f"{section}.{name}") for name, sub in sections[section].items()}
+        for section, parse in (
+            ("structures", _structure_parse),
+            ("enrichments", _enrichment_parse),
+            ("signatures", _signature_parse),
+        )
+    }
+    ws = Workspace()
+    for name, sub in sections["representations"].items():
+        ws.representations[name] = _entry_resolve(sub, parts, f"representations.{name}")
     for name, sub in sections["theories"].items():
         ws.theories[name] = _theory_parse(sub, f"theories.{name}")
     return ws

@@ -93,6 +93,12 @@ class TestCheckers:
         assert run_command(["check-representation", ex2_ws, "--delta", "ef:-1"]) == 2
         assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["ef:3_0", "ef:+3", "ef: 3", "ef:\u0663"],
+                             ids=["underscore", "plus", "space", "arabic-indic"])
+    def test_ef_depth_takes_ascii_digits_only(self, ex2_ws, delta, capsys):
+        assert run_command(["check-representation", ex2_ws, "--delta", delta]) == 2
+        assert f"error: --delta must be 'orbit' or 'ef:D', got {delta!r}" in capsys.readouterr().err
+
     def test_ef_depth_past_the_recursion_limit(self, lin4_ws, tmp_path):
         # a bare target gives (0, 1) and (1, 0) one qf type; the game tells them apart
         out = str(tmp_path / "check.json")
@@ -142,6 +148,43 @@ class TestBuilders:
         save_workspace(ws, path)
         assert run_command(["build-ex2", path, "--theory", "lin"]) == 2
         assert "no independence oracle for an unstable catalog entry" in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_maps_ws(tmp_path):
+    """The identity of ``linear(4)`` into a bare target, which the checker
+    refutes, and the identity of a bare 3-element set, which it accepts."""
+    ws = Workspace()
+    lin = load_workspace(save_lin4(tmp_path / "lin4.json")).representation("lin4.id")
+    ws.add_representation("lin", lin)
+    bare = FiniteStructure.make(3)
+    ws.add_representation("set", RepresentationMap.make(bare, bare, [0, 1, 2]))
+    path = tmp_path / "two.json"
+    save_workspace(ws, path)
+    return str(path)
+
+
+class TestRepSelection:
+    def test_rep_selects_a_map(self, two_maps_ws):
+        assert run_command(["check-representation", two_maps_ws, "--rep", "lin"]) == 1
+        assert run_command(["check-representation", two_maps_ws, "--rep", "set"]) == 0
+        assert run_command(["sieve", two_maps_ws, "--rep", "set"]) == 0
+
+    def test_missing_rep_is_named(self, two_maps_ws, capsys):
+        assert run_command(["check-representation", two_maps_ws]) == 2
+        assert "error: --rep is required when the workspace holds 2 representations" in (
+            capsys.readouterr().err
+        )
+
+    def test_unknown_rep_is_named(self, two_maps_ws, capsys):
+        assert run_command(["check-fact14", two_maps_ws, "--rep", "ghost"]) == 2
+        assert "error: representations.ghost: no such entry" in capsys.readouterr().err
+
+    def test_empty_sections_are_named(self, theories_ws, two_maps_ws, capsys):
+        assert run_command(["check-representation", theories_ws]) == 2
+        assert "error: representations: the workspace holds none" in capsys.readouterr().err
+        assert run_command(["build-ex2", two_maps_ws]) == 2
+        assert "error: theories: the workspace holds none" in capsys.readouterr().err
 
 
 class TestWorkspaceValidation:

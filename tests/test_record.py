@@ -6,10 +6,10 @@ from functools import cached_property
 
 import pytest
 
-from repsieve._record import Factory, record
+from repsieve._record import record
 
 
-def pair_classes(frozen=True, eq=True):
+def pair_classes():
     """The same two-field class made by ``record`` and by ``dataclass``."""
 
     def body():
@@ -19,7 +19,7 @@ def pair_classes(frozen=True, eq=True):
 
         return Point
 
-    return record(frozen=frozen, eq=eq)(body()), dataclasses.dataclass(frozen=frozen, eq=eq)(body())
+    return record(body()), dataclasses.dataclass(frozen=True)(body())
 
 
 @pytest.mark.parametrize(
@@ -37,7 +37,7 @@ def test_binding_repr_eq_and_hash_match_dataclasses(args, kwargs):
 
 
 def test_single_field_hashes_as_a_one_tuple():
-    @record()
+    @record
     class One:
         key: tuple
 
@@ -80,32 +80,10 @@ def test_frozen_instances_refuse_assignment_and_deletion():
     assert p.x == 1
 
 
-def test_eq_false_keeps_identity():
-    Rec, _ = pair_classes(eq=False)
-    a, b = Rec(1), Rec(1)
-    assert a == a and a != b
-    assert hash(a) == object.__hash__(a)
-
-
-def test_mutable_record_with_fresh_defaults():
-    @record(frozen=False)
-    class Bag:
-        items: dict = Factory(dict)
-        name: str = "bag"
-
-    a, b = Bag(), Bag()
-    a.items["k"] = 1
-    a.name = "a"
-    assert b.items == {} and b.name == "bag"
-    assert Bag() == Bag() and Bag({"k": 1}) != Bag()
-    assert Bag.__hash__ is None
-    assert not isinstance(Bag.__dict__.get("items"), Factory)
-
-
 def test_post_init_own_repr_and_cached_property():
     calls = []
 
-    @record()
+    @record
     class Checked:
         n: int
 

@@ -469,7 +469,7 @@ class TestTermRepresentation:
         m, o = catalog("pure_set", n=6)
         r = build_term_representation(build_sid(o, m))
         assert sorted(r.f) == list(range(6))
-        assert not r.carrier.signature.arities
+        assert not dict(r.carrier.signature.symbols)
 
     def test_generic_mode_rejected(self):
         m, o = eq3x3()

@@ -85,6 +85,7 @@ class TestRoundTrip:
             text = render_workspace(ws)
             assert sorted(json.loads(text)["structures"]) == ["ex1.source", "ex2.source", "id.source"]
             ws2 = parse_workspace(text)
+            assert render_workspace(ws2) == text
             assert ws2.representation("ex2") == ex2
             assert ws2.representation("ex1") == ex1
             assert ws2.representation("id") == linear_identity(4)
@@ -95,9 +96,26 @@ class TestRoundTrip:
         r = RepresentationMap.make(r.source, r.target, r.f)
         ws = Workspace()
         ws.add_representation("id", r)
-        ws2 = parse_workspace(render_workspace(ws))
-        assert ws2.representations["id"].target == "id.target"
-        assert ws2.representation("id") == r
+        text = render_workspace(ws)
+        assert json.loads(text)["representations"]["id"]["target"] == "id.target"
+        assert parse_workspace(text).representation("id") == r
+
+    def test_entries_share_a_source(self):
+        text = doc(
+            structures={"s": {"universe": 2}, "t": {"universe": 3}},
+            representations={
+                "a": {"source": "s", "target": "t", "map": [0, 1]},
+                "b": {"source": "s", "target": "t", "map": [2, 2]},
+            },
+        )
+        ws = parse_workspace(text)
+        a, b = ws.representation("a"), ws.representation("b")
+        assert a.source == b.source == FiniteStructure.make(2)
+        assert (a.f, b.f) == ((0, 1), (2, 2))
+        # re-saving names each map's parts after the map
+        assert sorted(json.loads(render_workspace(ws))["structures"]) == [
+            "a.source", "a.target", "b.source", "b.target"
+        ]
 
     def test_underived_target_not_stored(self):
         r = linear_identity(4)
