@@ -40,7 +40,6 @@ from repsieve.sunflower import (
 from repsieve.theories import (
     Decomposition,
     TheorySpec,
-    _type_tags,
     build_layer_representation,
     build_sid,
     build_term_representation,
@@ -193,7 +192,6 @@ def _probe_artifact(report: ProbeReport) -> tuple:
 
 
 def _decomposition_artifact(d: Decomposition) -> tuple:
-    tags = _type_tags(d)
     n = len(d.layers)
     lines = [f"decomposition ({d.mode}), {n} layer" + ("s" if n != 1 else "")]
     for idx, layer in enumerate(d.layers):
@@ -201,16 +199,15 @@ def _decomposition_artifact(d: Decomposition) -> tuple:
     lines.append("element: base / type / copy")
     records = []
     for rec in d.records:
-        tag = tags[rec.type_key]
         lines.append(
-            f"  {rec.element}: {list(rec.base)} / {tag} / {rec.copy_index}"
+            f"  {rec.element}: {list(rec.base)} / {rec.type_tag} / {rec.copy_index}"
         )
         records.append(
             {
                 "element": rec.element,
                 "layer": rec.layer,
                 "base": list(rec.base),
-                "type": tag,
+                "type": rec.type_tag,
                 "copy_index": rec.copy_index,
             }
         )
@@ -288,11 +285,20 @@ def _theory_from(ws: Workspace, name):
     return name, ws.theories[name]
 
 
+def _int(text: str) -> int:
+    """An optional ``-`` then ASCII digits; ``int()`` alone would also take
+    ``1_0``, ``+2``, `` 2`` and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str, flag: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise WorkspaceError(f"{flag} must be a comma-separated integer list") from exc
+        return tuple(_int(x) for x in text.split(",") if x != "")
+    except argparse.ArgumentTypeError as exc:
+        raise WorkspaceError(f"{flag} must be a comma-separated integer list: {exc}") from exc
 
 
 def _parse_json_lists(text: str, flag: str) -> list:
@@ -475,7 +481,7 @@ def _cmd_demo(args) -> int:
 
 
 def _add_checker_flags(p, tuple_len_default=2):
-    p.add_argument("--max-tuple-len", type=int, default=tuple_len_default)
+    p.add_argument("--max-tuple-len", type=_int, default=tuple_len_default)
     p.add_argument("--delta", default="orbit", help="orbit or ef:D")
     p.add_argument("--out", help="write the machine-readable report here")
 
@@ -522,18 +528,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workspace")
     p.add_argument("--rep")
     p.add_argument("--tuples", help="JSON list of source tuples; default all singletons")
-    p.add_argument("--target", type=int, default=2)
+    p.add_argument("--target", type=_int, default=2)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sieve)
 
     p = sub.add_parser("delta-system", help="sunflower certificates for set families")
     p.add_argument("--sets", help="JSON list of sequences")
-    p.add_argument("--target", type=int, default=3)
-    p.add_argument("--random", type=int, default=0, help="run N seeded random families")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--family-size", type=int, default=9)
-    p.add_argument("--set-size", type=int, default=2)
-    p.add_argument("--universe", type=int, default=100)
+    p.add_argument("--target", type=_int, default=3)
+    p.add_argument("--random", type=_int, default=0, help="run N seeded random families")
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--family-size", type=_int, default=9)
+    p.add_argument("--set-size", type=_int, default=2)
+    p.add_argument("--universe", type=_int, default=100)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_delta_system)
 
@@ -548,10 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="build a catalog example end to end and check it")
     p.add_argument("flavor", choices=["eqrel", "nested", "pureset"])
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--size", type=int, default=3)
+    p.add_argument("--classes", type=_int, default=3)
+    p.add_argument("--size", type=_int, default=3)
     p.add_argument("--sizes", default="2,2,2")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_int, default=6)
     p.add_argument("--mode", choices=["copy-index", "literal"], default="copy-index")
     _add_checker_flags(p, tuple_len_default=3)
     p.set_defaults(fn=_cmd_demo)

@@ -123,14 +123,21 @@ class FiniteStructure:
     def _atom_index(self) -> tuple:
         """Every relation tuple and function entry as ``(symbol name,
         elements)``, a function entry reading as ``args + (value,)``: the set
-        of all atoms, and per element the atoms that mention it, each once."""
+        of all atoms; per element the atoms that mention it, each once; and
+        per element the function entries ``(name, args, value)`` it is an
+        argument of, each once, with the constants filed under ``None``."""
         atoms = [(r.name, tup) for r in self.relations for tup in r.tuples]
-        atoms += [(f.name, args + (val,)) for f in self.functions for args, val in f.graph]
+        entries = {e: [] for e in (None, *range(self.size))}
+        for f in self.functions:
+            for args, val in f.graph:
+                atoms.append((f.name, args + (val,)))
+                for a in dict.fromkeys(args or (None,)):
+                    entries[a].append((f.name, args, val))
         incidence = [[] for _ in range(self.size)]
         for atom in atoms:
             for e in dict.fromkeys(atom[1]):
                 incidence[e].append(atom)
-        return frozenset(atoms), incidence
+        return frozenset(atoms), incidence, entries
 
     # game positions of the ("ef", d) oracle, keyed per structure instance
     @cached_property
@@ -146,28 +153,28 @@ class FiniteStructure:
         return _QfTrie(self)
 
 
-def _closure_steps(s: FiniteStructure, closed: set) -> Iterator[tuple]:
+def _closure_steps(s: FiniteStructure, closed: set, fresh) -> Iterator[tuple]:
     """Close ``closed`` in place under the structure's partial functions and
-    yield each element it gains as ``(value, function, args)``, in discovery
-    order: rounds to a fixpoint, functions in structure order, each graph
-    in its sorted order."""
-    changed = True
-    while changed:
-        changed = False
-        for fn in s.functions:
-            for args, val in fn.graph:
-                if val not in closed and all(a in closed for a in args):
-                    closed.add(val)
-                    changed = True
-                    yield val, fn, args
+    yield each element it gains as ``(value, name, args)``, after all of its
+    arguments.  ``closed`` minus its elements in ``fresh`` must be empty or
+    closed: a worklist reads the constants, then the function entries of
+    each fresh or gained element, each once, and no graph is rescanned."""
+    entries = s._atom_index[2]
+    work = [None, *fresh]
+    for e in work:  # grows while it is walked
+        for name, args, val in entries[e]:
+            if val not in closed and all(a in closed for a in args):
+                closed.add(val)
+                work.append(val)
+                yield val, name, args
 
 
 def qf_closure(s: FiniteStructure, elems: Iterable[int]) -> list:
-    """Closure of ``elems`` under the structure's partial functions, as a list
-    in deterministic discovery order: input order, then the order of
-    ``_closure_steps``."""
+    """Closure of ``elems`` under the structure's partial functions, as a
+    list: the inputs first, in order and without repeats, then each value
+    after its arguments, found without graph rescans (``_closure_steps``)."""
     order = list(dict.fromkeys(elems))
-    order += [v for v, _, _ in _closure_steps(s, set(order))]
+    order += [v for v, _, _ in _closure_steps(s, set(order), order)]
     return order
 
 
@@ -256,23 +263,14 @@ class _QfTrie:
     closure gives those elements."""
 
     def __init__(self, s: FiniteStructure):
-        # per element, the function entries it is an argument of, each once
-        self._entries = entries = [[] for _ in range(s.size)]
-        constants = []
-        for f in s.functions:
-            for args, val in f.graph:
-                for a in dict.fromkeys(args):
-                    entries[a].append((f.name, args, val))
-                if not args:
-                    constants.append((f.name, val))
-        self._incidence = s._atom_index[1]
+        _, self._incidence, self._entries = s._atom_index
         self._deltas: dict = {}  # delta -> id
         self._ids: dict = {}  # (parent id, delta id) -> id
         self._steps: dict = {}  # (x, len(label)) -> decision tree
-        delta, label, _ = _qf_extend(
-            {}, [val for _, val in sorted(constants)], entries, self._incidence
-        )
-        self._nodes = {(): (self._intern(None, delta), label)}  # tuple -> (id, label)
+        self._children: dict = {}  # (node serial, x) -> (serial, id, label) of its extension by x
+        constants = [val for _, _, val in sorted(self._entries[None])]
+        delta, label, _ = _qf_extend({}, constants, self._entries, self._incidence)
+        self._root = (0, self._intern(None, delta), label)
 
     def _intern(self, parent, delta) -> int:
         delta_id = self._deltas.setdefault(delta, len(self._deltas))
@@ -300,12 +298,19 @@ class _QfTrie:
         return node
 
     def _node(self, t: tuple) -> tuple:
-        got = self._nodes.get(t)
-        if got is None:
-            parent, label = self._node(t[:-1])
-            delta, new = self._step(label, t[-1])
-            got = self._nodes[t] = (self._intern(parent, delta), {**label, **new} if new else label)
-        return got
+        """``(id, label)`` of ``t``, walking the trie from the root in a loop
+        and typing each prefix not yet in it from its parent."""
+        serial, parent, label = self._root
+        children = self._children
+        for x in t:
+            node = children.get((serial, x))
+            if node is None:
+                delta, new = self._step(label, x)
+                node = children[serial, x] = (
+                    len(children) + 1, self._intern(parent, delta), {**label, **new} if new else label
+                )
+            serial, parent, label = node
+        return parent, label
 
     def extension_ids(self, t: tuple, xs: Sequence[int]) -> list:
         """The id of ``t + (x,)`` for each ``x`` of ``xs``, in order."""
@@ -323,7 +328,7 @@ class _QfTrie:
 
 def _delta_consistent(s: FiniteStructure, fwd: dict, bwd: dict, x: int, c: int) -> bool:
     # one pass per side: an atom with an unassigned element maps to None
-    atoms, incidence = s._atom_index
+    atoms, incidence, _ = s._atom_index
     get = fwd.get
     for name, elems in incidence[x]:
         image = [c if e == x else get(e) for e in elems]
@@ -505,7 +510,7 @@ class OrbitEngine:
     some automorphism maps ``t1`` to ``t2`` pointwise.  A length registered
     with ``build_table`` is answered from its exact orbit table, built on
     the first query of two different tuples; any other query compares the
-    tuples' colourings, then searches, and is memoised.
+    tuples' colourings, then searches.
 
     Each tuple's search path starts from colour refinement (1-dimensional
     Weisfeiler-Leman) with its positions individualised; colour ids are
@@ -519,10 +524,9 @@ class OrbitEngine:
 
     def __init__(self, s: FiniteStructure):
         self.size = s.size
-        self._atoms, self._incidence = s._atom_index
+        self._atoms, self._incidence, _ = s._atom_index
         self._ids: dict = {}  # colour signature -> colour id
         self._paths: dict = {}  # tuple -> the levels of its path built so far
-        self._verdicts: dict = {}  # (t1, t2) with t1 < t2 -> bool, lengths without a table
         self._tables: dict = {}  # length -> _OrbitTable
         self._base = self._refine([self._ids.setdefault(("base",), 0)] * s.size)
 
@@ -542,11 +546,8 @@ class OrbitEngine:
             for x, y in zip(t1, t2):
                 i1, i2 = i1 * self.size + x, i2 * self.size + y
             return table.root[i1] == table.root[i2]
-        key = (t1, t2) if t1 < t2 else (t2, t1)
-        if key not in self._verdicts:
-            cb, sorted_b, _, _ = self._level(t2, 0)
-            self._verdicts[key] = sorted_b == self._level(t1, 0)[1] and self._search(t1, 0, cb) is not None
-        return self._verdicts[key]
+        cb, sorted_b, _, _ = self._level(t2, 0)
+        return sorted_b == self._level(t1, 0)[1] and self._search(t1, 0, cb) is not None
 
     @cached_property
     def automorphisms(self) -> list:
@@ -773,6 +774,7 @@ def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iter
     on each domain are all its injective atom-preserving maps with closed
     range."""
     closure_size: dict = {}  # frozenset of generator images -> size of its closure
+    graphs = {f.name: f.as_dict for f in s.functions}
 
     def closed(combo, domain, fwd) -> bool:
         key = frozenset(fwd[g] for g in combo)
@@ -785,7 +787,7 @@ def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iter
         if g in domain:
             return domain, maps
         # (value, function dict, args), arguments placed first
-        plan = [(v, f.as_dict, args) for v, f, args in _closure_steps(s, {*domain, g})]
+        plan = [(v, graphs[name], args) for v, name, args in _closure_steps(s, {*domain, g}, (g,))]
         domain = domain + [g] + [v for v, _, _ in plan]
         out = []
         for fwd0, bwd0 in maps:

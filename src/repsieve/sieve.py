@@ -3,8 +3,12 @@ sequence, and the probe that turns an ordered chain into a refutation.
 
 The sieve takes source tuples through four pigeonhole stages over their
 *padded images*: each image followed by the rest of its closure under the
-target's functions, in discovery order.  Stages 0 to 2 group the padded
-rows by qf type, each in one reduct of the target:
+target's functions, in the order of the labels the target's qf trie
+gives that closure.  Those labels depend only on the labelled structure,
+so images of one qf type give rows that match position by position, and
+stage 2 groups the tuples exactly by the qf type of their images.
+Stages 0 to 2 group the padded rows by qf type, each in one reduct of
+the target:
 
 - stage 0 reads the term structure: the carrier's, or a bare universe of
   the target's size when there is no carrier.  Two rows are qf-equal
@@ -36,7 +40,6 @@ from repsieve.enrich import Enrichment
 from repsieve.finstruct import (
     FiniteStructure,
     PartialAutomorphism,
-    qf_closure,
     qf_type,
     type_equal,
 )
@@ -77,7 +80,7 @@ class SieveBottleneck(Exception):
 class SieveTrace:
     r: RepresentationMap
     tuples: tuple  # source tuples, as given
-    padded: tuple  # per input: image tuple followed by its closure, target elements
+    padded: tuple  # per input: image tuple followed by the rest of its closure, target elements
     stage0: tuple  # groups of input indices, largest first
     stage1: tuple
     stage2: tuple
@@ -121,7 +124,8 @@ def _check_in_universe(tuples, n: int, name: str) -> None:
 
 def _padded_image(r: RepresentationMap, t) -> tuple:
     image = r.image(t)
-    return image + tuple(qf_closure(r.target, image)[len(set(image)):])
+    label = r.target.qf_types._node(image)[1]
+    return image + tuple(sorted(set(label).difference(image), key=label.__getitem__))
 
 
 def _group(keys) -> tuple:

@@ -24,6 +24,10 @@ __all__ = [
     "build_terms",
 ]
 
+# The most terms one table may hold; ``build_terms`` raises as soon as it
+# would pass this, and before it makes any term when the depth-0 terms do.
+MAX_TERMS = 100_000
+
 
 @record
 class Term:
@@ -91,19 +95,17 @@ class AlgebraSignature:
         return iter(self.symbols)
 
 
-def build_terms(
-    signature: AlgebraSignature, base_size: int, max_depth: int, max_terms: int = 100_000
-) -> list:
+def build_terms(signature: AlgebraSignature, base_size: int, max_depth: int) -> list:
     """All terms of depth <= ``max_depth``, deduplicated, in deterministic
     order: by depth stage, base elements before applications, then signature
     order, then child ids lexicographically.  Raises ``ValueError`` once more
-    than ``max_terms`` terms would be produced."""
+    than ``MAX_TERMS`` terms would be produced."""
     if base_size < 0 or max_depth < 0:
         raise ValueError("base_size and max_depth must be >= 0")
     constants = [n for n, k in signature if k == 0]
     # checked before any term is made: a huge base must not fill memory first
-    if base_size + len(constants) > max_terms:
-        raise ValueError(f"term table exceeds {max_terms} entries at depth 0")
+    if base_size + len(constants) > MAX_TERMS:
+        raise ValueError(f"term table exceeds {MAX_TERMS} entries at depth 0")
     terms: list = [Term.of_base(i) for i in range(base_size)]
     terms += [Term.app(n) for n in constants]
     prev_len = 0  # terms with depth < current stage start before this index
@@ -116,9 +118,9 @@ def build_terms(
                 if all(i < prev_len for i in child_ids):
                     continue  # already produced at an earlier stage
                 terms.append(Term.app(name, tuple(terms[i] for i in child_ids)))
-                if len(terms) > max_terms:
+                if len(terms) > MAX_TERMS:
                     raise ValueError(
-                        f"term table exceeds {max_terms} entries at depth {_depth}"
+                        f"term table exceeds {MAX_TERMS} entries at depth {_depth}"
                     )
         prev_len = stage_start
         if stage_start == len(terms):
@@ -135,10 +137,8 @@ class TermAlgebra:
     terms: tuple
 
     @classmethod
-    def build(
-        cls, signature: AlgebraSignature, base_size: int, max_depth: int, max_terms: int = 100_000
-    ) -> "TermAlgebra":
-        return cls(signature, base_size, tuple(build_terms(signature, base_size, max_depth, max_terms)))
+    def build(cls, signature: AlgebraSignature, base_size: int, max_depth: int) -> "TermAlgebra":
+        return cls(signature, base_size, tuple(build_terms(signature, base_size, max_depth)))
 
     @cached_property
     def _ids(self) -> dict:

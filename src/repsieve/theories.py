@@ -250,7 +250,9 @@ class ElementRecord:
     element: int
     layer: int
     base: tuple  # sorted enumeration of the element's base set
-    type_key: int  # qf type id, in the model, of the element joined to its base enumeration
+    # qf type of the element joined to its base enumeration, as "t0", "t1",
+    # ... in first-encounter order over (layer, element)
+    type_tag: str
     copy_index: int  # rank among same-layer elements sharing (base, type)
 
 
@@ -266,15 +268,16 @@ class Decomposition:
         """ElementRecord per element, sorted by element."""
         o, m = self.oracle, self.model
         records = {}
+        tags: dict = {}  # qf type id -> tag
         earlier: list = []
         for idx, layer in enumerate(self.layers):
             seen: dict = {}
             for a in layer:
                 b = tuple(sorted(o.base(a, earlier)))
-                key_type = qf_type(m, (a,) + b)
-                k = seen.get((b, key_type), 0)
-                seen[(b, key_type)] = k + 1
-                records[a] = ElementRecord(a, idx, b, key_type, k)
+                tag = tags.setdefault(qf_type(m, (a,) + b), f"t{len(tags)}")
+                k = seen.get((b, tag), 0)
+                seen[(b, tag)] = k + 1
+                records[a] = ElementRecord(a, idx, b, tag, k)
             earlier.extend(layer)
             earlier.sort()
         return tuple(records[a] for a in sorted(records))
@@ -423,21 +426,7 @@ def singleton_prefix(d: Decomposition) -> Decomposition:
     return refined
 
 
-def _type_tags(d: Decomposition) -> dict:
-    """Deterministic short names for the type keys, in first-encounter
-    order over (layer, element)."""
-    tags: dict = {}
-    for layer in d.layers:
-        for a in layer:
-            key = d.record(a).type_key
-            if key not in tags:
-                tags[key] = f"t{len(tags)}"
-    return tags
-
-
-def build_term_representation(
-    d: Decomposition, mode: str = "copy_index", max_terms: int = 100_000
-) -> RepresentationMap:
+def build_term_representation(d: Decomposition, mode: str = "copy_index") -> RepresentationMap:
     """Map the first layer onto fresh base elements and every later element
     onto a function symbol applied to the images of its base enumeration.
     The symbol is chosen by the element's type (and copy index, unless the
@@ -449,7 +438,6 @@ def build_term_representation(
         raise ValueError("needs a decomposition built in omega_stable mode")
     if not d.layers:
         raise ValueError("empty decomposition")
-    tags = _type_tags(d)
     term_of: dict = {}
     symbols: dict = {}
     first = d.layers[0]
@@ -458,19 +446,18 @@ def build_term_representation(
     for layer in d.layers[1:]:
         for a in layer:
             rec = d.record(a)
-            tag = tags[rec.type_key]
             arity = len(rec.base)
             head = "c" if arity == 0 else "F"
             if mode == "copy_index":
-                name = f"{head}[{tag},{rec.copy_index}]"
+                name = f"{head}[{rec.type_tag},{rec.copy_index}]"
             else:
-                name = f"{head}[{tag}]"
+                name = f"{head}[{rec.type_tag}]"
             prior = symbols.setdefault(name, arity)
             if prior != arity:
                 raise RuntimeError(f"symbol {name} used at arities {prior} and {arity}")
             term_of[a] = Term.app(name, tuple(term_of[c] for c in rec.base))
     depth = max((t.depth for t in term_of.values()), default=0)
-    ta = TermAlgebra.build(AlgebraSignature.make(symbols), len(first), depth, max_terms)
+    ta = TermAlgebra.build(AlgebraSignature.make(symbols), len(first), depth)
     base = ta.as_structure
     enr = trivial_enrichment(base)
     f = {a: ta.term_id(t) for a, t in term_of.items()}

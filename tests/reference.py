@@ -38,6 +38,24 @@ def all_extensions(s, domain: tuple):
     yield from rec(0, {}, {})
 
 
+def closure_by_rounds(s, elems) -> list:
+    """Closure of ``elems`` under the partial functions by rescanning every
+    function graph, in structure order, in rounds until one adds nothing:
+    the reference for ``qf_closure``.  Inputs first, then discovery order."""
+    order = list(dict.fromkeys(elems))
+    closed = set(order)
+    changed = True
+    while changed:
+        changed = False
+        for fn in s.functions:
+            for args, val in fn.graph:
+                if val not in closed and all(a in closed for a in args):
+                    closed.add(val)
+                    order.append(val)
+                    changed = True
+    return order
+
+
 def ef_game_with_repeats(s):
     """``equal(t1, t2, depth)`` for the EF game on ``s`` in which the
     spoiler may also repeat a placed element, spending a round and leaving

@@ -322,6 +322,17 @@ class TestSieve:
         assert doc["kind"] == "sieve-bottleneck" and doc["stage"] == "stage2"
         assert doc["largest"] == 1
 
+    def test_long_rows_exit_without_a_traceback(self, tmp_path, capsys):
+        ws = Workspace()
+        ws.theories["pure12"] = TheorySpec.make("pure_set", n=12)
+        theories, path = str(tmp_path / "theories.json"), str(tmp_path / "ex2.json")
+        save_workspace(ws, theories)
+        assert run_command(["build-ex2", theories, "--out", path]) == 0
+        rows = [[i % 12 for i in range(1500)], [i * 5 % 12 for i in range(1500)]]
+        out = str(tmp_path / "bn.json")
+        assert run_command(["sieve", path, "--tuples", json.dumps(rows), "--out", out]) == 1
+        assert json.loads(open(out).read())["stage"] == "stage3"
+
     def test_malformed_tuples(self, ex2_ws, capsys):
         assert run_command(["sieve", ex2_ws, "--tuples", "{oops"]) == 2
 
@@ -459,6 +470,38 @@ class TestProbe:
         captured = capsys.readouterr()
         assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in captured.err
         assert captured.out == ""
+
+
+# every integer flag, and the commands that read it
+INT_FLAGS = [
+    ["check-representation", "{lin4}", "--max-tuple-len"],
+    ["check-fact14", "{lin4}", "--max-tuple-len"],
+    ["sieve", "{lin4}", "--target"],
+    ["delta-system", "--random=1", "--target"],
+    ["delta-system", "--random"],
+    ["delta-system", "--random=1", "--seed"],
+    ["delta-system", "--random=1", "--family-size"],
+    ["delta-system", "--random=1", "--set-size"],
+    ["delta-system", "--random=1", "--universe"],
+    ["probe-instability", "{lin4}", "--phi", "lt", "--chain"],
+    ["demo", "eqrel", "--classes"],
+    ["demo", "eqrel", "--size"],
+    ["demo", "nested", "--sizes"],
+    ["demo", "pureset", "--n"],
+    ["demo", "pureset", "--max-tuple-len"],
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "+2", " 2", "\u0663"],
+                         ids=["underscore", "plus", "space", "arabic-indic"])
+@pytest.mark.parametrize("argv", INT_FLAGS, ids=[" ".join(a[::len(a) - 1]) for a in INT_FLAGS])
+def test_integer_flags_take_ascii_digits_only(argv, value, lin4_ws, capsys):
+    flag = argv[-1]
+    argv = [a.format(lin4=lin4_ws) for a in argv[:-1]] + [f"{flag}={value}"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and f"expected an integer, got {value!r}" in captured.err
+    assert captured.out == ""
 
 
 class TestStartup:

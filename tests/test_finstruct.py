@@ -13,7 +13,7 @@ from repsieve import (
     type_equal,
 )
 from repsieve.finstruct import _ef_equal, automorphism_extending
-from reference import all_extensions, ef_game_with_repeats
+from reference import all_extensions, closure_by_rounds, ef_game_with_repeats
 from test_orbits import SEEDS, random_structure
 
 
@@ -185,6 +185,50 @@ class TestQfClosure:
     def test_deduplicates_preserving_order(self):
         s = pointed()
         assert qf_closure(s, [2, 1, 2]) == [2, 1, 0]
+
+
+def branching_structure(seed):
+    """Seeded partial functions on at most seven points: two binary ones, a
+    unary one and up to two constants, so that closures branch."""
+    rng = random.Random(f"branching/{seed}")
+    n = rng.randint(1, 7)
+
+    def graph(arity, p):
+        return {a: rng.randrange(n) for a in itertools.product(range(n), repeat=arity) if rng.random() < p}
+
+    functions = {"m": (2, graph(2, 0.3)), "p": (2, graph(2, 0.15)), "s": (1, graph(1, 0.4))}
+    for k in range(rng.randint(0, 2)):
+        functions[f"c{k}"] = (0, {(): rng.randrange(n)})
+    return FiniteStructure.make(n, functions=functions)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_matches_the_round_scan(seed):
+    s = branching_structure(seed)
+    rng = random.Random(seed)
+    for _ in range(10):
+        elems = [rng.randrange(s.size) for _ in range(rng.randint(0, 3))]
+        inputs = list(dict.fromkeys(elems))
+        got = qf_closure(s, elems)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(closure_by_rounds(s, elems))
+        assert got[:len(inputs)] == inputs
+        # each gained value follows the arguments of some entry giving it
+        at = {x: i for i, x in enumerate(got)}
+        for x in got[len(inputs):]:
+            assert any(
+                val == x and all(at.get(a, at[x]) < at[x] for a in args)
+                for f in s.functions
+                for args, val in f.graph
+            ), (elems, x)
+
+
+def test_long_tuples_type_without_recursion():
+    s = FiniteStructure.make(3)
+    t = tuple(i % 3 for i in range(5000))
+    assert qf_type(s, t) == qf_type(s, tuple((i + 1) % 3 for i in range(5000)))
+    assert qf_type(s, t) != qf_type(s, t[:-1] + (t[-2],))
+    assert qf_type(s, [0] * 5000) == qf_type(s, [2] * 5000)
 
 
 class TestTypeEqual:

@@ -20,6 +20,7 @@ from repsieve import (
     build_term_representation,
     desk_model,
     instability_probe,
+    qf_type,
     sieve,
     singleton_prefix,
     theory_oracle,
@@ -37,6 +38,7 @@ from reference import (
     shape_vector,
     validate_trace,
 )
+from test_finstruct import branching_structure
 from test_orbits import random_structure
 from test_represent import one_per_class_rep
 
@@ -511,6 +513,46 @@ def test_stage_groups_equal_the_reference_keys():
             padded = trace.padded
             assert (trace.stage0, trace.stage1) == reference_stages(r, padded), (k, tuples)
     assert outcomes == {"survived", "stage3"}
+
+
+def branching_map(seed):
+    """A seeded carrier-less map onto a target with binary functions and
+    constants; its range is the whole target, so it is closed."""
+    target = branching_structure(seed)
+    rng = random.Random(f"branching-map/{seed}")
+    f = list(range(target.size)) + [rng.randrange(target.size) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(f)
+    return RepresentationMap.make(FiniteStructure.make(len(f)), target, f)
+
+
+def stage2_maps():
+    maps = []
+    for spec in (
+        TheorySpec.make("eq_rel", classes=3, size=3),
+        TheorySpec.make("eq_rel", classes=6, size=3),
+        TheorySpec.make("nested_eq_rel", sizes=(2, 2, 2)),
+        TheorySpec.make("nested_eq_rel", sizes=(3, 3, 3)),
+    ):
+        m = desk_model(spec)
+        d = build_sid(theory_oracle(spec, m), m, mode="omega_stable")
+        maps.append(build_term_representation(d))
+        maps.append(build_layer_representation(singleton_prefix(d)))
+    return maps + [branching_map(seed) for seed in range(40)]
+
+
+def test_stage2_groups_are_the_image_qf_types():
+    """Rows are padded in the target's label order, so stage 2 groups the
+    tuples exactly by the qf type of their images."""
+    for k, r in enumerate(stage2_maps()):
+        n = r.source.size
+        for length in (1, 2):
+            # a repeated tuple keeps stages 0 to 2 above the target of 2
+            tuples = list(itertools.product(range(n), repeat=length)) + [(0,) * length]
+            trace = sieve(r, tuples)
+            expected: dict = {}
+            for i, t in enumerate(tuples):
+                expected.setdefault(qf_type(r.target, r.image(t)), []).append(i)
+            assert sorted(trace.stage2) == sorted(map(tuple, expected.values())), (k, length)
 
 
 @given(

@@ -1,9 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repsieve import AlgebraSignature, Term, TermAlgebra, build_terms
+from repsieve import AlgebraSignature, Term, TermAlgebra, build_terms, termalg
 from repsieve.finstruct import qf_closure
 
 
@@ -60,9 +61,10 @@ class TestBuildTerms:
         assert a == b
         assert len(set(a)) == len(a)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            build_terms(sig(g=2), 3, 2, max_terms=100)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(termalg, "MAX_TERMS", 100)
+        with pytest.raises(ValueError, match="exceeds 100 entries"):
+            build_terms(sig(g=2), 3, 2)
 
     def test_cap_checked_before_allocating(self):
         tracemalloc.start()
@@ -127,7 +129,8 @@ def signatures(draw):
 @settings(max_examples=50, deadline=None)
 def test_term_tables_are_closed_and_bounded(signature, base_size, max_depth):
     try:
-        ts = build_terms(signature, base_size, max_depth, max_terms=3000)
+        with mock.patch.object(termalg, "MAX_TERMS", 3000):
+            ts = build_terms(signature, base_size, max_depth)
     except ValueError:
         return
     assert len(set(ts)) == len(ts)
@@ -145,7 +148,8 @@ def test_term_tables_are_closed_and_bounded(signature, base_size, max_depth):
 @settings(max_examples=30, deadline=None)
 def test_structure_universe_matches_table(signature, base_size):
     try:
-        ta = TermAlgebra.build(signature, base_size, 1, max_terms=2000)
+        with mock.patch.object(termalg, "MAX_TERMS", 2000):
+            ta = TermAlgebra.build(signature, base_size, 1)
     except ValueError:
         return
     s = ta.as_structure

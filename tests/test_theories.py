@@ -14,6 +14,7 @@ from repsieve.finstruct import (
     verify_indiscernible,
 )
 from repsieve.represent import CheckerPolicy, check_representation
+from repsieve import termalg
 from repsieve.termalg import Term
 from repsieve.theories import (
     Decomposition,
@@ -477,11 +478,12 @@ class TestTermRepresentation:
         with pytest.raises(ValueError):
             build_term_representation(d)
 
-    def test_term_table_overflow(self):
+    def test_term_table_overflow(self, monkeypatch):
         m, o = eq3x3()
         d = build_sid(o, m)
-        with pytest.raises(ValueError):
-            build_term_representation(d, max_terms=5)
+        monkeypatch.setattr(termalg, "MAX_TERMS", 5)
+        with pytest.raises(ValueError, match="exceeds 5 entries"):
+            build_term_representation(d)
 
     def test_deterministic(self):
         m, o = nested222()
