@@ -252,12 +252,6 @@ def _parse_delta(text: str):
     raise WorkspaceError(f"--delta must be 'orbit' or 'ef:D', got {text!r}")
 
 
-def _policy(args) -> CheckerPolicy:
-    return CheckerPolicy(
-        delta=_parse_delta(args.delta), max_tuple_len=args.max_tuple_len
-    )
-
-
 def _pick_representation(ws: Workspace, name):
     if name is None:
         if not ws.representations:
@@ -306,15 +300,22 @@ def _parse_json_lists(text: str, flag: str) -> list:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkspaceError(f"{flag}: {exc.msg}") from exc
-    if not isinstance(doc, list) or not all(isinstance(x, list) for x in doc):
-        raise WorkspaceError(f"{flag} must be a JSON list of lists")
+    if not doc or not isinstance(doc, list) or not all(isinstance(x, list) for x in doc):
+        raise WorkspaceError(f"{flag}: expected a nonempty list of lists")
     return [tuple(x) for x in doc]
+
+
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise WorkspaceError(f"{flag} must be >= {least}, got {value}")
 
 
 def _cmd_check(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
-    report = args.checker(r, _policy(args))
+    report = args.checker(
+        r, CheckerPolicy(delta=_parse_delta(args.delta), max_tuple_len=args.max_tuple_len)
+    )
     _emit(args, *_violation_artifact(r, report))
     return 0 if report.empty else 1
 
@@ -361,6 +362,7 @@ def _cmd_build_ex1(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    _at_least("--target", args.target, 2)
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
     if args.tuples is None:
@@ -378,33 +380,9 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
-def _check_random_family_flags(args) -> None:
-    """Reject family shapes that no sampling can fill, before drawing any."""
-    for flag, value, least in (
-        ("--random", args.random, 0),
-        ("--family-size", args.family_size, 1),
-        ("--universe", args.universe, 0),
-        ("--set-size", args.set_size, 0),
-    ):
-        if value < least:
-            raise WorkspaceError(f"{flag} must be >= {least}, got {value}")
-    if args.set_size > args.universe:
-        raise WorkspaceError(
-            f"--set-size {args.set_size} exceeds --universe {args.universe}"
-        )
-    available, k = 1, min(args.set_size, args.universe - args.set_size)
-    for i in range(1, k + 1):  # C(universe - k + i, i) only grows: stop once past the family size
-        if available >= args.family_size:
-            break
-        available = available * (args.universe - k + i) // i
-    if args.family_size > available:
-        raise WorkspaceError(
-            f"--family-size {args.family_size} exceeds the {available} distinct "
-            f"{args.set_size}-sets of a universe of {args.universe}"
-        )
-
-
 def _cmd_delta_system(args) -> int:
+    _at_least("--target", args.target, 2)
+    _at_least("--random", args.random, 0)
     if args.sets is None and not args.random:
         raise WorkspaceError("delta-system needs --sets or --random")
     if args.sets is not None:
@@ -424,17 +402,13 @@ def _cmd_delta_system(args) -> int:
             print("certificate rejected: " + "; ".join(problems))
             return 1
         return 0
-    _check_random_family_flags(args)
     rng = random.Random(args.seed)
     last = None
     for round_no in range(args.random):
-        family = []
-        seen = set()
-        while len(family) < args.family_size:
-            s = tuple(sorted(rng.sample(range(args.universe), args.set_size)))
-            if s not in seen:
-                seen.add(s)
-                family.append(s)
+        drawn: dict = {}  # distinct 2-sets, in the order drawn
+        while len(drawn) < 9:
+            drawn[tuple(sorted(rng.sample(range(100), 2)))] = None
+        family = list(drawn)
         outcome = delta_system(family, args.target)
         if isinstance(outcome, DeltaSystemFailure):
             _emit(args, *_delta_failure_artifact(outcome))
@@ -455,35 +429,28 @@ def _cmd_probe(args) -> int:
     ws = load_workspace(args.workspace)
     r = _pick_representation(ws, args.rep)
     chain = [(x,) for x in _parse_int_list(args.chain, "--chain")]
-    report = instability_probe(r, args.phi, chain, delta=_parse_delta(args.delta))
+    report = instability_probe(r, args.phi, chain)
     _emit(args, *_probe_artifact(report))
     return 1 if report.refuted else 0
 
 
-def _demo_spec(args) -> TheorySpec:
-    if args.flavor == "eqrel":
-        return TheorySpec.make("eq_rel", classes=args.classes, size=args.size)
-    if args.flavor == "nested":
-        return TheorySpec.make(
-            "nested_eq_rel", sizes=_parse_int_list(args.sizes, "--sizes")
-        )
-    return TheorySpec.make("pure_set", n=args.n)
+# each demo flavour's fixed model, checked at tuple length 3 under the orbit oracle
+_DEMO_MODELS = {
+    "eqrel": ("eq_rel", {"classes": 3, "size": 3}),
+    "nested": ("nested_eq_rel", {"sizes": (2, 2, 2)}),
+    "pureset": ("pure_set", {"n": 6}),
+}
 
 
 def _cmd_demo(args) -> int:
-    d = _decompose(_demo_spec(args), "omega_stable")
+    tag, params = _DEMO_MODELS[args.flavor]
+    d = _decompose(TheorySpec.make(tag, **params), "omega_stable")
     print(_decomposition_artifact(d)[0])
     r = build_term_representation(d, args.mode.replace("-", "_"))
     print(_representation_text(r))
-    report = check_representation(r, _policy(args))
+    report = check_representation(r, CheckerPolicy(max_tuple_len=3))
     _emit(args, *_violation_artifact(r, report))
     return 0 if report.empty else 1
-
-
-def _add_checker_flags(p, tuple_len_default=2):
-    p.add_argument("--max-tuple-len", type=_int, default=tuple_len_default)
-    p.add_argument("--delta", default="orbit", help="orbit or ef:D")
-    p.add_argument("--out", help="write the machine-readable report here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("workspace")
         p.add_argument("--rep")
-        _add_checker_flags(p)
+        p.add_argument("--max-tuple-len", type=_int, default=2)
+        p.add_argument("--delta", default="orbit", help="orbit or ef:D")
+        p.add_argument("--out", help="write the machine-readable report here")
         p.set_defaults(fn=_cmd_check, checker=checker)
 
     p = sub.add_parser("build-sid", help="layered decomposition for a catalog theory")
@@ -535,11 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-system", help="sunflower certificates for set families")
     p.add_argument("--sets", help="JSON list of sequences")
     p.add_argument("--target", type=_int, default=3)
-    p.add_argument("--random", type=_int, default=0, help="run N seeded random families")
+    p.add_argument(
+        "--random", type=_int, default=0,
+        help="run N seeded random families, each of nine distinct 2-subsets of 0..99",
+    )
     p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--family-size", type=_int, default=9)
-    p.add_argument("--set-size", type=_int, default=2)
-    p.add_argument("--universe", type=_int, default=100)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_delta_system)
 
@@ -548,18 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep")
     p.add_argument("--phi", required=True, help="ordering relation name in the source")
     p.add_argument("--chain", required=True, help="comma-separated chain elements")
-    p.add_argument("--delta", default="orbit")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_probe)
 
-    p = sub.add_parser("demo", help="build a catalog example end to end and check it")
-    p.add_argument("flavor", choices=["eqrel", "nested", "pureset"])
-    p.add_argument("--classes", type=_int, default=3)
-    p.add_argument("--size", type=_int, default=3)
-    p.add_argument("--sizes", default="2,2,2")
-    p.add_argument("--n", type=_int, default=6)
+    p = sub.add_parser(
+        "demo", help="build a catalog example (eq 3x3, nested (2,2,2) or pure set 6) and check it"
+    )
+    p.add_argument("flavor", choices=list(_DEMO_MODELS))
     p.add_argument("--mode", choices=["copy-index", "literal"], default="copy-index")
-    _add_checker_flags(p, tuple_len_default=3)
+    p.add_argument("--out", help="write the machine-readable report here")
     p.set_defaults(fn=_cmd_demo)
 
     return parser

@@ -267,7 +267,7 @@ class _QfTrie:
         self._deltas: dict = {}  # delta -> id
         self._ids: dict = {}  # (parent id, delta id) -> id
         self._steps: dict = {}  # (x, len(label)) -> decision tree
-        self._children: dict = {}  # (node serial, x) -> (serial, id, label) of its extension by x
+        self._children: dict = {}  # (node serial, x) -> (serial, id, labels added) of the extension by x
         constants = [val for _, _, val in sorted(self._entries[None])]
         delta, label, _ = _qf_extend({}, constants, self._entries, self._incidence)
         self._root = (0, self._intern(None, delta), label)
@@ -299,17 +299,18 @@ class _QfTrie:
 
     def _node(self, t: tuple) -> tuple:
         """``(id, label)`` of ``t``, walking the trie from the root in a loop
-        and typing each prefix not yet in it from its parent."""
-        serial, parent, label = self._root
+        and typing each prefix not yet in it from its parent.  A node keeps
+        only the labels it adds, so ``label`` is built afresh by the walk."""
+        serial, parent, new = self._root
+        label = dict(new)
         children = self._children
         for x in t:
             node = children.get((serial, x))
             if node is None:
                 delta, new = self._step(label, x)
-                node = children[serial, x] = (
-                    len(children) + 1, self._intern(parent, delta), {**label, **new} if new else label
-                )
-            serial, parent, label = node
+                node = children[serial, x] = (len(children) + 1, self._intern(parent, delta), new)
+            serial, parent, new = node
+            label.update(new)
         return parent, label
 
     def extension_ids(self, t: tuple, xs: Sequence[int]) -> list:

@@ -43,7 +43,7 @@ from repsieve.finstruct import (
     qf_type,
     type_equal,
 )
-from repsieve.represent import CheckerPolicy, RepresentationMap
+from repsieve.represent import RepresentationMap
 from repsieve.sunflower import (
     DeltaSystemFailure,
     SunflowerCertificate,
@@ -206,7 +206,6 @@ def instability_probe(
     r: RepresentationMap,
     phi,
     chain: Sequence[Sequence[int]],
-    delta="orbit",
 ) -> ProbeReport:
     """Refute a representation (or the chain handed in) from a formula-ordered
     chain of source tuples.
@@ -215,8 +214,12 @@ def instability_probe(
     arity, or a callable ``phi(source, left, right) -> bool``.  The chain
     must be strictly ordered by ``phi`` in both directions; that is checked
     first and rejected outright when it fails.
+
+    The source types of the two orderings come from the exact orbit
+    oracle: the game oracle can only merge tuples that the orbit oracle
+    separates, which would turn a refuted representation into a refuted
+    chain.
     """
-    CheckerPolicy(delta=delta)  # rejects a malformed delta before any work
     chain = tuple(tuple(t) for t in chain)
     if not chain:
         raise ValueError("chain precondition failure: empty chain")
@@ -266,7 +269,7 @@ def instability_probe(
             backward=backward,
             detail="the images of the two orderings differ in qf type; nothing to refute",
         )
-    if not type_equal(r.source, forward, backward, delta):
+    if not type_equal(r.source, forward, backward):
         return ProbeReport(
             status="representation_refuted",
             pair=(i, j),

@@ -192,8 +192,9 @@ def validate_sunflower(family: Sequence[Sequence], cert: SunflowerCertificate) -
             out.append(f"sequence {i} has length {len(s)}, certificate says {cert.common_length}")
     if out:
         return out
-    for (i, s), (j, t) in itertools.combinations(zip(cert.selected, sel), 2):
-        inter = frozenset(s) & frozenset(t)
+    value_sets = [frozenset(s) for s in sel]
+    for (i, s), (j, t) in itertools.combinations(zip(cert.selected, value_sets), 2):
+        inter = s & t
         if inter != cert.root:
             out.append(f"value sets of {i} and {j} intersect in {sorted(inter)}, not the root")
     true_agree = {

@@ -1,12 +1,10 @@
 """Command line: exit codes, reports, determinism."""
 
-import argparse
 import json
 import os
 import pathlib
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -19,8 +17,7 @@ from repsieve import (
     save_workspace,
     sieve,
 )
-from repsieve.cli import _check_random_family_flags, run_command
-from repsieve.workspace import WorkspaceError
+from repsieve.cli import run_command
 
 from conftest import save_lin4
 from reference import validate_trace
@@ -51,8 +48,7 @@ def lin4_ws(tmp_path):
 
 class TestDemo:
     def test_copy_index_clean(self, capsys):
-        assert run_command(["demo", "eqrel", "--classes", "3", "--size", "3",
-                            "--mode", "copy-index"]) == 0
+        assert run_command(["demo", "eqrel", "--mode", "copy-index"]) == 0
         out = capsys.readouterr().out
         assert "OK, 397 tuple-pairs checked" in out
         assert "F[t1,0](c[t0,0])" in out
@@ -66,11 +62,10 @@ class TestDemo:
         assert "(4, 5)" in capsys.readouterr().out
 
     def test_other_flavors(self, capsys):
-        assert run_command(["demo", "nested", "--sizes", "2,2,2"]) == 0
-        assert run_command(["demo", "pureset", "--n", "5"]) == 0
-
-    def test_bad_delta(self, capsys):
-        assert run_command(["demo", "eqrel", "--delta", "bogus"]) == 2
+        assert run_command(["demo", "nested"]) == 0
+        assert "OK, 87 tuple-pairs checked" in capsys.readouterr().out
+        assert run_command(["demo", "pureset"]) == 0
+        assert "OK, 250 tuple-pairs checked" in capsys.readouterr().out
 
 
 class TestCheckers:
@@ -336,6 +331,10 @@ class TestSieve:
     def test_malformed_tuples(self, ex2_ws, capsys):
         assert run_command(["sieve", ex2_ws, "--tuples", "{oops"]) == 2
 
+    def test_empty_tuples_name_the_flag(self, ex2_ws, capsys):
+        assert run_command(["sieve", ex2_ws, "--tuples", "[]"]) == 2
+        assert "error: --tuples: expected a nonempty list of lists" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "tuples, field, got",
         [
@@ -375,26 +374,13 @@ class TestDeltaSystem:
     def test_needs_input(self, capsys):
         assert run_command(["delta-system"]) == 2
 
-    @pytest.mark.parametrize(
-        "shape, flag",
-        [
-            (["--family-size", "50", "--set-size", "1", "--universe", "3"], "--family-size"),
-            (["--family-size", "1", "--set-size", "4", "--universe", "3"], "--set-size"),
-            (["--universe", "-1"], "--universe"),
-        ],
-    )
-    def test_infeasible_random_family_rejected(self, shape, flag, capsys):
-        assert run_command(["delta-system", "--random", "1", *shape]) == 2
-        assert flag in capsys.readouterr().err
-
     def test_negative_round_count_rejected(self, capsys):
         assert run_command(["delta-system", "--random", "-5"]) == 2
         assert "--random must be >= 0, got -5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("size", ["0", "-3"])
-    def test_empty_random_family_rejected(self, size, capsys):
-        assert run_command(["delta-system", "--random", "1", "--family-size", size]) == 2
-        assert f"--family-size must be >= 1, got {size}" in capsys.readouterr().err
+    def test_empty_family_names_the_flag(self, capsys):
+        assert run_command(["delta-system", "--sets", "[]"]) == 2
+        assert "error: --sets: expected a nonempty list of lists" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sets, field, got",
@@ -410,28 +396,6 @@ class TestDeltaSystem:
     def test_non_integer_set_elements_rejected(self, sets, field, got, capsys):
         assert run_command(["delta-system", "--sets", sets, "--target", "2"]) == 2
         assert f"error: {field}: expected an integer, got {got}" in capsys.readouterr().err
-
-    def test_largest_feasible_random_family_packs(self, capsys):
-        # all three 2-sets of a 3-element universe: the check must not reject it
-        assert run_command(["delta-system", "--random", "1", "--family-size", "3",
-                            "--set-size", "2", "--universe", "3", "--target", "2"]) == 0
-
-    def test_family_size_check_stops_counting_early(self):
-        # C(10**6, 5 * 10**5) has about 300,000 digits; the check needs only
-        # to know that it passes the family size
-        args = argparse.Namespace(random=1, family_size=10, universe=1_000_000, set_size=500_000)
-        start = time.perf_counter()
-        _check_random_family_flags(args)
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.parametrize("universe, set_size, available", [(3, 1, 3), (6, 3, 20), (7, 5, 21)])
-    def test_family_size_rejection_names_the_exact_count(self, universe, set_size, available):
-        args = argparse.Namespace(random=1, family_size=available + 1, universe=universe, set_size=set_size)
-        with pytest.raises(WorkspaceError, match=f"exceeds the {available} distinct {set_size}-sets"):
-            _check_random_family_flags(args)
-        _check_random_family_flags(argparse.Namespace(
-            random=1, family_size=available, universe=universe, set_size=set_size))
-
 
 class TestProbe:
     def test_refutes_identity_on_linear(self, lin4_ws, tmp_path, capsys):
@@ -463,15 +427,6 @@ class TestProbe:
                             "--chain", "0"]) == 0
         assert "inconclusive" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("chain", ["0", "0,1,2,3"], ids=["one", "four"])
-    def test_negative_ef_depth_rejected(self, lin4_ws, chain, capsys):
-        assert run_command(["probe-instability", lin4_ws, "--phi", "lt", "--chain", chain,
-                            "--delta", "ef:-1"]) == 2
-        captured = capsys.readouterr()
-        assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in captured.err
-        assert captured.out == ""
-
-
 # every integer flag, and the commands that read it
 INT_FLAGS = [
     ["check-representation", "{lin4}", "--max-tuple-len"],
@@ -480,15 +435,7 @@ INT_FLAGS = [
     ["delta-system", "--random=1", "--target"],
     ["delta-system", "--random"],
     ["delta-system", "--random=1", "--seed"],
-    ["delta-system", "--random=1", "--family-size"],
-    ["delta-system", "--random=1", "--set-size"],
-    ["delta-system", "--random=1", "--universe"],
     ["probe-instability", "{lin4}", "--phi", "lt", "--chain"],
-    ["demo", "eqrel", "--classes"],
-    ["demo", "eqrel", "--size"],
-    ["demo", "nested", "--sizes"],
-    ["demo", "pureset", "--n"],
-    ["demo", "pureset", "--max-tuple-len"],
 ]
 
 
@@ -502,6 +449,42 @@ def test_integer_flags_take_ascii_digits_only(argv, value, lin4_ws, capsys):
     captured = capsys.readouterr()
     assert flag in captured.err and f"expected an integer, got {value!r}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "missing.file"],
+    ["delta-system", "--random", "5"],
+    ["delta-system", "--sets", "[[1,2],[1,3]]"],
+], ids=["sieve", "delta-system-random", "delta-system-sets"])
+def test_small_target_checked_before_any_work(argv, capsys):
+    assert run_command([*argv, "--target", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --target must be >= 2, got 1" in captured.err and captured.out == ""
+
+
+# options that no command takes any more, with the command that once took each
+REMOVED = [
+    ["delta-system", "--random=1", "--family-size=9"],
+    ["delta-system", "--random=1", "--set-size=2"],
+    ["delta-system", "--random=1", "--universe=100"],
+    ["probe-instability", "{lin4}", "--phi=lt", "--chain=0,1", "--delta=orbit"],
+    ["demo", "eqrel", "--classes=3"],
+    ["demo", "eqrel", "--size=3"],
+    ["demo", "nested", "--sizes=2,2,2"],
+    ["demo", "pureset", "--n=6"],
+    ["demo", "eqrel", "--max-tuple-len=3"],
+    ["demo", "eqrel", "--delta=orbit"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED, ids=[" ".join(a[::len(a) - 1]) for a in REMOVED])
+def test_removed_options_exit_two(argv, lin4_ws, capsys):
+    flag = argv[-1].split("=")[0]
+    assert run_command([a.format(lin4=lin4_ws) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {argv[-1]}" in captured.err and captured.out == ""
+    assert run_command([argv[0], "--help"]) == 0
+    assert flag not in capsys.readouterr().out
 
 
 class TestStartup:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,19 @@ def test_long_tuples_type_without_recursion():
     assert qf_type(s, t) == qf_type(s, tuple((i + 1) % 3 for i in range(5000)))
     assert qf_type(s, t) != qf_type(s, t[:-1] + (t[-2],))
     assert qf_type(s, [0] * 5000) == qf_type(s, [2] * 5000)
+
+
+def test_typing_one_long_tuple_holds_linear_memory():
+    # a trie node keeps only the labels it adds, so typing one tuple of n
+    # distinct elements holds O(n) labels, not one label dict per prefix
+    s = FiniteStructure.make(2000)
+    tracemalloc.start()
+    try:
+        qf_type(s, range(2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 class TestTypeEqual:

@@ -119,9 +119,6 @@ def test_sieve_tuples_keep_the_exit_code_contract(built, tuples, target):
 DELTA_FLAGS = {
     "--random": st.integers(-3, 3),
     "--target": st.integers(-2, 5),
-    "--family-size": st.integers(-2, 10),
-    "--set-size": st.integers(-2, 4),
-    "--universe": st.integers(-2, 6),
 }
 
 

@@ -385,12 +385,6 @@ class TestProbe:
         with pytest.raises(ValueError, match="relation name or a callable"):
             instability_probe(r, 7, [(0,), (1,)])
 
-    @pytest.mark.parametrize("chain", [[(0,)], [(0,), (1,), (2,)]], ids=["one", "three"])
-    def test_malformed_delta_rejected_on_entry(self, chain):
-        r = flat_rep(linear(3))
-        with pytest.raises(ValueError, match="delta must be"):
-            instability_probe(r, "lt", chain, delta=("ef", -1))
-
     def test_empty_chain_rejected(self):
         r = flat_rep(linear(3))
         with pytest.raises(ValueError, match="empty chain"):
