@@ -252,31 +252,20 @@ def _parse_delta(text: str):
     raise WorkspaceError(f"--delta must be 'orbit' or 'ef:D', got {text!r}")
 
 
-def _pick_representation(ws: Workspace, name):
+def _pick(entries: dict, section: str, flag: str, name):
+    """The entry called ``name`` in one workspace section, or its only
+    entry when ``name`` is None; the error names the flag or the field."""
     if name is None:
-        if not ws.representations:
-            raise WorkspaceError("representations: the workspace holds none")
-        if len(ws.representations) != 1:
+        if not entries:
+            raise WorkspaceError(f"{section}: the workspace holds none")
+        if len(entries) != 1:
             raise WorkspaceError(
-                "--rep is required when the workspace holds "
-                f"{len(ws.representations)} representations"
+                f"{flag} is required when the workspace holds {len(entries)} {section}"
             )
-        name = next(iter(ws.representations))
-    return ws.representation(name)
-
-
-def _theory_from(ws: Workspace, name):
-    if name is None:
-        if not ws.theories:
-            raise WorkspaceError("theories: the workspace holds none")
-        if len(ws.theories) != 1:
-            raise WorkspaceError(
-                f"--theory is required when the workspace holds {len(ws.theories)} theories"
-            )
-        name = next(iter(ws.theories))
-    if name not in ws.theories:
-        raise WorkspaceError(f"theories.{name}: no such entry")
-    return name, ws.theories[name]
+        name = next(iter(entries))
+    if name not in entries:
+        raise WorkspaceError(f"{section}.{name}: no such entry")
+    return name, entries[name]
 
 
 def _int(text: str) -> int:
@@ -311,8 +300,9 @@ def _at_least(flag: str, value: int, least: int) -> None:
 
 
 def _cmd_check(args) -> int:
+    _at_least("--max-tuple-len", args.max_tuple_len, 1)
     ws = load_workspace(args.workspace)
-    r = _pick_representation(ws, args.rep)
+    _, r = _pick(ws.representations, "representations", "--rep", args.rep)
     report = args.checker(
         r, CheckerPolicy(delta=_parse_delta(args.delta), max_tuple_len=args.max_tuple_len)
     )
@@ -327,7 +317,7 @@ def _decompose(spec: TheorySpec, mode: str) -> Decomposition:
 
 def _decomposed_theory(args, mode: str = "omega_stable"):
     ws = load_workspace(args.workspace)
-    name, spec = _theory_from(ws, args.theory)
+    name, spec = _pick(ws.theories, "theories", "--theory", args.theory)
     return ws, name, _decompose(spec, mode)
 
 
@@ -364,7 +354,7 @@ def _cmd_build_ex1(args) -> int:
 def _cmd_sieve(args) -> int:
     _at_least("--target", args.target, 2)
     ws = load_workspace(args.workspace)
-    r = _pick_representation(ws, args.rep)
+    _, r = _pick(ws.representations, "representations", "--rep", args.rep)
     if args.tuples is None:
         tuples = [(a,) for a in range(r.source.size)]
     else:
@@ -427,7 +417,7 @@ def _cmd_delta_system(args) -> int:
 
 def _cmd_probe(args) -> int:
     ws = load_workspace(args.workspace)
-    r = _pick_representation(ws, args.rep)
+    _, r = _pick(ws.representations, "representations", "--rep", args.rep)
     chain = [(x,) for x in _parse_int_list(args.chain, "--chain")]
     report = instability_probe(r, args.phi, chain)
     _emit(args, *_probe_artifact(report))

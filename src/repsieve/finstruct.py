@@ -408,7 +408,11 @@ def _ef_wins(s: FiniteStructure, pos: frozenset, depth: int) -> bool:
     the position as it is, and surviving ``depth - 1`` rounds from ``pos``
     already follows from answering every new move at ``depth - 1``.  So the
     recursion places one pair per level and goes no deeper than the number
-    of unplaced elements, whatever ``depth`` is."""
+    of unplaced elements, whatever ``depth`` is.  Both sides are one
+    structure, so a right-hand move y answered by c is a left-hand move of
+    the inverse position, played by the same loop with (bwd, fwd); its pair
+    is stored flipped back, so memo keys and move order are the two-sided
+    game's."""
     if depth == 0:
         return True
     memo = s._ef_memo
@@ -417,32 +421,19 @@ def _ef_wins(s: FiniteStructure, pos: frozenset, depth: int) -> bool:
         return memo[key]
     fwd = dict(pos)
     bwd = {b: a for a, b in pos}
-    result = True
-    for side in (0, 1):
-        dom = fwd if side == 0 else bwd
+    for there, back, step in ((fwd, bwd, 1), (bwd, fwd, -1)):
         for x in range(s.size):
-            if x in dom:
+            if x in there:
                 continue
-            ok = False
             for c in range(s.size):
-                if side == 0:
-                    if c in bwd or not _delta_consistent(s, fwd, bwd, x, c):
-                        continue
-                    newpos = pos | {(x, c)}
-                else:
-                    if c in fwd or not _delta_consistent(s, fwd, bwd, c, x):
-                        continue
-                    newpos = pos | {(c, x)}
-                if _ef_wins(s, newpos, depth - 1):
-                    ok = True
-                    break
-            if not ok:
-                result = False
-                break
-        if not result:
-            break
-    memo[key] = result
-    return result
+                if c not in back and _delta_consistent(s, there, back, x, c):
+                    if _ef_wins(s, pos | {(x, c)[::step]}, depth - 1):
+                        break
+            else:
+                memo[key] = False
+                return False
+    memo[key] = True
+    return True
 
 
 def _ef_equal(s: FiniteStructure, t1, t2, depth: int) -> bool:

@@ -69,7 +69,7 @@ class SieveBottleneck(Exception):
         self.largest = largest
         self.target = target
         self.inconclusive = inconclusive
-        flavor = " (inconclusive: only the greedy packing ran)" if inconclusive else ""
+        flavor = " (inconclusive: the packing search was not complete)" if inconclusive else ""
         super().__init__(
             f"{stage}: largest compatible group has {largest} members, "
             f"target is {target}{flavor}"

@@ -29,6 +29,9 @@ __all__ = [
 
 # largest group packed exhaustively; a larger one is packed greedily
 EXHAUSTIVE_THRESHOLD = 200
+# search nodes that the exact packing may visit in one delta_system call;
+# past them every group left unpacked makes a failure inconclusive
+EXACT_PACK_NODES = 1_000_000
 
 
 @record
@@ -45,7 +48,9 @@ class SunflowerCertificate:
 class DeltaSystemFailure:
     target: int
     reason: str
-    inconclusive: bool  # true when only the greedy packing was tried somewhere
+    # true when some group was packed only greedily, or its exact packing
+    # ran out of EXACT_PACK_NODES
+    inconclusive: bool
 
 
 def _equiv_partition(seq: Sequence) -> tuple:
@@ -66,9 +71,10 @@ def _greedy_pack(candidates, petals):
     return chosen
 
 
-def _exact_pack(candidates, petals, target):
+def _exact_pack(candidates, petals, target, budget):
     """Some pairwise petal-disjoint subset of size >= target, or None.
-    Complete: explores all subsets, pruned by remaining count."""
+    Explores all subsets, pruned by remaining count, while ``budget[0]``,
+    the search nodes left, lasts; a search cut short leaves it negative."""
 
     n = len(candidates)
     chosen: list = []
@@ -76,7 +82,8 @@ def _exact_pack(candidates, petals, target):
     def rec(start, used):
         if len(chosen) >= target:
             return True
-        if len(chosen) + (n - start) < target:
+        budget[0] -= 1
+        if budget[0] < 0 or len(chosen) + (n - start) < target:
             return False
         for k in range(start, n):
             idx = candidates[k]
@@ -101,8 +108,11 @@ def delta_system(family: Sequence[Sequence], target: int):
     value-set intersections; sequences containing a candidate root are
     refined by where the root values sit; finally petal-disjoint packing,
     exhaustive up to ``EXHAUSTIVE_THRESHOLD`` members and greedy above it.
+    The exhaustive searches of one call share ``EXACT_PACK_NODES`` search
+    nodes; once they are spent, groups are packed greedily.
     Returns a :class:`SunflowerCertificate` or a :class:`DeltaSystemFailure`
-    (the latter flagged inconclusive when only greedy packing was attempted).
+    (the latter flagged inconclusive when some group was packed only
+    greedily, or its exhaustive search was cut short).
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -112,7 +122,8 @@ def delta_system(family: Sequence[Sequence], target: int):
     groups: dict = {}
     for idx, s in enumerate(seqs):
         groups.setdefault((len(s), _equiv_partition(s)), []).append(idx)
-    any_greedy_limited = False
+    inconclusive = False
+    budget = [EXACT_PACK_NODES]
     best_blocker = None
     for (length, equiv), members in sorted(
         groups.items(), key=lambda kv: (-len(kv[1]), kv[1][0])
@@ -146,11 +157,11 @@ def delta_system(family: Sequence[Sequence], target: int):
                     continue
                 petals = {i: value_sets[i] - root for i in cands}
                 chosen = _greedy_pack(cands, petals)
-                if len(chosen) < target and exhaustive:
-                    chosen = _exact_pack(cands, petals, target) or []
+                if len(chosen) < target and exhaustive and budget[0] >= 0:
+                    chosen = _exact_pack(cands, petals, target, budget) or []
                 if len(chosen) < target:
-                    if not exhaustive:
-                        any_greedy_limited = True
+                    if not exhaustive or budget[0] < 0:
+                        inconclusive = True
                     continue
                 selected = tuple(sorted(chosen))
                 agree = frozenset(
@@ -174,7 +185,7 @@ def delta_system(family: Sequence[Sequence], target: int):
     return DeltaSystemFailure(
         target=target,
         reason=best_blocker or f"no group offers {target} members",
-        inconclusive=any_greedy_limited,
+        inconclusive=inconclusive,
     )
 
 

@@ -102,39 +102,36 @@ class TheorySpec:
         return dict(self.params)[key]
 
 
+def _blocks(spec: TheorySpec) -> tuple:
+    """A class-based catalog entry as nested blocks: how many parts each
+    level splits a block of the level above into, coarsest first, and one
+    relation name per level but the last, whose classes are its blocks."""
+    if spec.tag == "pure_set":
+        return (spec.param("n"),), ()
+    if spec.tag == "eq_rel":
+        return (spec.param("classes"), spec.param("size")), ("E",)
+    if spec.tag == "nested_eq_rel":
+        sizes = tuple(spec.param("sizes"))
+        return sizes, tuple(f"E{j}" for j in range(len(sizes) - 1))
+    raise ValueError(f"unknown catalog tag {spec.tag!r}")
+
+
 def desk_model(spec: TheorySpec) -> FiniteStructure:
     """The concrete finite structure for a catalog entry.  Homogeneous by
     construction: classes at each level share a size, so orbit types agree
     with the intended theory on the tuple lengths the checkers look at."""
-    if spec.tag == "pure_set":
-        return FiniteStructure.make(spec.param("n"))
-    if spec.tag == "eq_rel":
-        classes, size = spec.param("classes"), spec.param("size")
-        pairs = set()
-        for c in range(classes):
-            block = range(c * size, (c + 1) * size)
-            pairs.update(itertools.product(block, repeat=2))
-        return FiniteStructure.make(classes * size, relations={"E": (2, pairs)})
-    if spec.tag == "nested_eq_rel":
-        sizes = tuple(spec.param("sizes"))
-        n = 1
-        for s in sizes:
-            n *= s
-        relations = {}
-        block = n
-        for j in range(len(sizes) - 1):
-            block //= sizes[j]
-            pairs = set()
-            for c in range(n // block):
-                members = range(c * block, (c + 1) * block)
-                pairs.update(itertools.product(members, repeat=2))
-            relations[f"E{j}"] = (2, pairs)
-        return FiniteStructure.make(n, relations=relations)
     if spec.tag == "linear_order":
         n = spec.param("n")
         lt = {(i, j) for i in range(n) for j in range(n) if i < j}
         return FiniteStructure.make(n, relations={"lt": (2, lt)})
-    raise ValueError(f"unknown catalog tag {spec.tag!r}")
+    sizes, names = _blocks(spec)
+    n = block = math.prod(sizes)
+    relations = {}
+    for parts, name in zip(sizes, names):
+        block //= parts
+        classes = (range(start, start + block) for start in range(0, n, block))
+        relations[name] = (2, {p for c in classes for p in itertools.product(c, repeat=2)})
+    return FiniteStructure.make(n, relations=relations)
 
 
 @record
@@ -219,18 +216,9 @@ def nested_class_oracle(m: FiniteStructure, level_names: Sequence[str]) -> Indep
 
 
 def theory_oracle(spec: TheorySpec, m: FiniteStructure) -> IndependenceOracle:
-    if spec.tag == "pure_set":
-        return nested_class_oracle(m, ())
-    if spec.tag == "eq_rel":
-        return nested_class_oracle(m, ("E",))
-    if spec.tag == "nested_eq_rel":
-        fine_to_coarse = tuple(
-            f"E{j}" for j in reversed(range(len(spec.param("sizes")) - 1))
-        )
-        return nested_class_oracle(m, fine_to_coarse)
     if spec.tag == "linear_order":
         raise NotImplementedError("no independence oracle for an unstable catalog entry")
-    raise ValueError(f"unknown catalog tag {spec.tag!r}")
+    return nested_class_oracle(m, _blocks(spec)[1][::-1])
 
 
 def check_strongly_independent(o: IndependenceOracle, elems, over) -> bool:

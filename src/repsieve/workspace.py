@@ -19,7 +19,7 @@ import json
 from repsieve.enrich import Enrichment
 from repsieve.finstruct import FiniteStructure
 from repsieve.represent import RepresentationMap
-from repsieve.termalg import AlgebraSignature, TermAlgebra
+from repsieve.termalg import MAX_TERMS, AlgebraSignature, TermAlgebra
 from repsieve.theories import TheorySpec
 
 __all__ = [
@@ -62,12 +62,6 @@ class Workspace:
         if other.__class__ is self.__class__:
             return (self.representations, self.theories) == (other.representations, other.theories)
         return NotImplemented
-
-    def representation(self, name: str) -> RepresentationMap:
-        r = self.representations.get(name)
-        if r is None:
-            raise WorkspaceError(f"representations.{name}: no such entry")
-        return r
 
     def add_representation(self, name: str, r: RepresentationMap) -> str:
         """Store a live representation map.  A map with a carrier or an
@@ -129,6 +123,11 @@ def _structure_parse(doc, where: str) -> FiniteStructure:
             graph[row[:arity]] = row[arity]
         functions[_str(fn["name"], f"{here}.name")] = (arity, graph)
     universe = _int(doc["universe"], f"{where}.universe")
+    # no carrier derives a larger target, and every element costs memory
+    if universe > MAX_TERMS:
+        raise WorkspaceError(
+            f"{where}.universe: {universe} elements, more than the bound of {MAX_TERMS}"
+        )
     try:
         return FiniteStructure.make(universe, relations=relations, functions=functions)
     except (TypeError, ValueError) as exc:

@@ -150,11 +150,22 @@ def two_maps_ws(tmp_path):
     """The identity of ``linear(4)`` into a bare target, which the checker
     refutes, and the identity of a bare 3-element set, which it accepts."""
     ws = Workspace()
-    lin = load_workspace(save_lin4(tmp_path / "lin4.json")).representation("lin4.id")
+    lin = load_workspace(save_lin4(tmp_path / "lin4.json")).representations["lin4.id"]
     ws.add_representation("lin", lin)
     bare = FiniteStructure.make(3)
     ws.add_representation("set", RepresentationMap.make(bare, bare, [0, 1, 2]))
     path = tmp_path / "two.json"
+    save_workspace(ws, path)
+    return str(path)
+
+
+@pytest.fixture
+def two_of_each_ws(two_maps_ws, tmp_path):
+    """The two maps of ``two_maps_ws`` beside two theories."""
+    ws = load_workspace(two_maps_ws)
+    ws.theories["eq3x3"] = TheorySpec.make("eq_rel", classes=3, size=3)
+    ws.theories["set4"] = TheorySpec.make("pure_set", n=4)
+    path = tmp_path / "four.json"
     save_workspace(ws, path)
     return str(path)
 
@@ -165,15 +176,28 @@ class TestRepSelection:
         assert run_command(["check-representation", two_maps_ws, "--rep", "set"]) == 0
         assert run_command(["sieve", two_maps_ws, "--rep", "set"]) == 0
 
-    def test_missing_rep_is_named(self, two_maps_ws, capsys):
-        assert run_command(["check-representation", two_maps_ws]) == 2
-        assert "error: --rep is required when the workspace holds 2 representations" in (
+    @pytest.mark.parametrize(
+        "command, flag, section",
+        [
+            ("check-representation", "--rep", "representations"),
+            ("build-ex2", "--theory", "theories"),
+        ],
+        ids=["representations", "theories"],
+    )
+    def test_missing_rep_is_named(self, two_of_each_ws, capsys, command, flag, section):
+        assert run_command([command, two_of_each_ws]) == 2
+        assert f"error: {flag} is required when the workspace holds 2 {section}" in (
             capsys.readouterr().err
         )
 
-    def test_unknown_rep_is_named(self, two_maps_ws, capsys):
-        assert run_command(["check-fact14", two_maps_ws, "--rep", "ghost"]) == 2
-        assert "error: representations.ghost: no such entry" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, flag, section",
+        [("check-fact14", "--rep", "representations"), ("build-ex1", "--theory", "theories")],
+        ids=["representations", "theories"],
+    )
+    def test_unknown_rep_is_named(self, two_of_each_ws, capsys, command, flag, section):
+        assert run_command([command, two_of_each_ws, flag, "ghost"]) == 2
+        assert f"error: {section}.ghost: no such entry" in capsys.readouterr().err
 
     def test_empty_sections_are_named(self, theories_ws, two_maps_ws, capsys):
         assert run_command(["check-representation", theories_ws]) == 2
@@ -299,7 +323,7 @@ class TestSieve:
         assert run_command(["build-ex1", theories_ws, "--theory", "eq3x3", "--out", path]) == 0
         assert run_command(["sieve", path, "--out", out]) == 0
         doc = json.loads(open(out).read())
-        r = load_workspace(path).representation("eq3x3.ex1")
+        r = load_workspace(path).representations["eq3x3.ex1"]
         trace = sieve(r, [(a,) for a in range(r.source.size)])
         assert validate_trace(trace) == []
         assert doc["counts"] == trace.survivor_counts()
@@ -362,6 +386,18 @@ class TestDeltaSystem:
     def test_impossible_target(self, capsys):
         assert run_command(["delta-system", "--sets", "[[1,2],[1,3],[2,3]]",
                             "--target", "3"]) == 1
+
+    def test_exact_packing_is_bounded(self):
+        # the 190 edges of the complete graph on 20 points hold no 20
+        # disjoint ones; searched to the end, that takes hours
+        sets = json.dumps([[a, b] for a in range(20) for b in range(a + 1, 20)])
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", "repsieve.cli", "delta-system", "--sets", sets, "--target", "20"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout.startswith("no delta system of size 20 (inconclusive): ")
 
     def test_random_families_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -460,6 +496,15 @@ def test_small_target_checked_before_any_work(argv, capsys):
     assert run_command([*argv, "--target", "1"]) == 2
     captured = capsys.readouterr()
     assert "error: --target must be >= 2, got 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["check-representation", "check-fact14"])
+def test_short_max_tuple_len_names_the_flag(command, value, capsys):
+    assert run_command([command, "missing.file", f"--max-tuple-len={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --max-tuple-len must be >= 1, got {value}" in captured.err
+    assert captured.out == ""
 
 
 # options that no command takes any more, with the command that once took each

@@ -86,6 +86,13 @@ class TestDeltaSystem:
         assert isinstance(res, DeltaSystemFailure)
         assert res.inconclusive
 
+    def test_spent_node_budget_flags_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(sunflower, "EXACT_PACK_NODES", 2)
+        fam = [(9, 1, 2), (9, 1, 4), (9, 2, 5)]
+        res = delta_system(fam, target=3)
+        assert isinstance(res, DeltaSystemFailure)
+        assert res.inconclusive
+
     def test_same_failure_is_definitive_when_exhaustive(self):
         fam = [(9, 1, 2), (9, 1, 4), (9, 2, 5)]
         res = delta_system(fam, target=3)

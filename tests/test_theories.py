@@ -93,6 +93,12 @@ class TestCatalogModels:
             desk_model(TheorySpec.make("nested_eq_rel", sizes=(4,)))
         spec = TheorySpec.make("eq_rel", classes=2, size=3)
         assert spec.param("classes") == 2
+        # an entry built around make's check still names the tag
+        stray = TheorySpec("dense_order", ())
+        with pytest.raises(ValueError, match="unknown catalog tag 'dense_order'"):
+            desk_model(stray)
+        with pytest.raises(ValueError, match="unknown catalog tag 'dense_order'"):
+            theory_oracle(stray, FiniteStructure.make(3))
 
 
 class TestOracle:

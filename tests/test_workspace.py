@@ -86,10 +86,10 @@ class TestRoundTrip:
             assert sorted(json.loads(text)["structures"]) == ["ex1.source", "ex2.source", "id.source"]
             ws2 = parse_workspace(text)
             assert render_workspace(ws2) == text
-            assert ws2.representation("ex2") == ex2
-            assert ws2.representation("ex1") == ex1
-            assert ws2.representation("id") == linear_identity(4)
-            assert ws2.representation("ex2").carrier == ex2.carrier
+            assert ws2.representations["ex2"] == ex2
+            assert ws2.representations["ex1"] == ex1
+            assert ws2.representations["id"] == linear_identity(4)
+            assert ws2.representations["ex2"].carrier == ex2.carrier
 
     def test_named_target_round_trips(self):
         r = linear_identity(3)
@@ -98,7 +98,7 @@ class TestRoundTrip:
         ws.add_representation("id", r)
         text = render_workspace(ws)
         assert json.loads(text)["representations"]["id"]["target"] == "id.target"
-        assert parse_workspace(text).representation("id") == r
+        assert parse_workspace(text).representations["id"] == r
 
     def test_entries_share_a_source(self):
         text = doc(
@@ -109,7 +109,7 @@ class TestRoundTrip:
             },
         )
         ws = parse_workspace(text)
-        a, b = ws.representation("a"), ws.representation("b")
+        a, b = ws.representations["a"], ws.representations["b"]
         assert a.source == b.source == FiniteStructure.make(2)
         assert (a.f, b.f) == ((0, 1), (2, 2))
         # re-saving names each map's parts after the map
@@ -171,6 +171,10 @@ class TestDiagnostics:
             doc(structures={"s": {"universe": 2, "relations": [
                 {"name": "E", "arity": 2, "tuples": [[0, 5]]}]}}),
             "outside universe",
+        )
+        parse_err(
+            doc(structures={"s": {"universe": 10**12}}),
+            "structures.s.universe: 1000000000000 elements, more than the bound of 100000",
         )
 
     def test_function_graph_rows(self):
@@ -257,8 +261,3 @@ class TestDiagnostics:
     def test_theory_tag(self):
         parse_err(doc(theories={"t": {"tag": "dense", "params": {}}}), "theories.t")
         parse_err(doc(theories={"t": {"tag": "eq_rel", "params": [3, 3]}}), "theories.t.params")
-
-    def test_resolution_of_unknown_entry(self):
-        ws = parse_workspace(doc())
-        with pytest.raises(WorkspaceError):
-            ws.representation("ghost")
