@@ -256,21 +256,20 @@ class _QfTrie:
     prefix: such an isomorphism restricts to every prefix closure.
 
     The id of ``t + (x,)`` is interned from the id of ``t`` and the id of
-    x's delta, so ids are comparable only within one trie.  Each prefix
-    is typed once, however many tuples share it.  Extensions are memoised
-    per appended element and closure size, as a decision tree over the
-    labels ``_qf_extend`` read: a lookup follows the labels the tuple's
-    closure gives those elements."""
+    x's delta, so ids are comparable only within one trie.  The one memo
+    is the decision tree of ``_step``: extensions are memoised per
+    appended element and closure size, over the labels ``_qf_extend``
+    read, and a lookup follows the labels the tuple's closure gives those
+    elements.  Each walk re-steps its prefixes through that tree."""
 
     def __init__(self, s: FiniteStructure):
         _, self._incidence, self._entries = s._atom_index
         self._deltas: dict = {}  # delta -> id
         self._ids: dict = {}  # (parent id, delta id) -> id
         self._steps: dict = {}  # (x, len(label)) -> decision tree
-        self._children: dict = {}  # (node serial, x) -> (serial, id, labels added) of the extension by x
         constants = [val for _, _, val in sorted(self._entries[None])]
         delta, label, _ = _qf_extend({}, constants, self._entries, self._incidence)
-        self._root = (0, self._intern(None, delta), label)
+        self._root = (self._intern(None, delta), label)
 
     def _intern(self, parent, delta) -> int:
         delta_id = self._deltas.setdefault(delta, len(self._deltas))
@@ -298,18 +297,13 @@ class _QfTrie:
         return node
 
     def _node(self, t: tuple) -> tuple:
-        """``(id, label)`` of ``t``, walking the trie from the root in a loop
-        and typing each prefix not yet in it from its parent.  A node keeps
-        only the labels it adds, so ``label`` is built afresh by the walk."""
-        serial, parent, new = self._root
-        label = dict(new)
-        children = self._children
+        """``(id, label)`` of ``t``, appending its elements one by one to
+        the root through ``_step`` and interning each prefix's id."""
+        parent, label = self._root
+        label = dict(label)
         for x in t:
-            node = children.get((serial, x))
-            if node is None:
-                delta, new = self._step(label, x)
-                node = children[serial, x] = (len(children) + 1, self._intern(parent, delta), new)
-            serial, parent, new = node
+            delta, new = self._step(label, x)
+            parent = self._intern(parent, delta)
             label.update(new)
         return parent, label
 
@@ -676,15 +670,15 @@ def type_equal(s: FiniteStructure, t1: Sequence[int], t2: Sequence[int], policy=
     return s.orbits.equal(t1, t2) or _ef_equal(s, t1, t2, d)
 
 
-def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx, policy="orbit") -> bool:
+def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx) -> bool:
     """Set-indiscernibility of ``tuples[k]`` for ``k`` in ``idx``: every
     repetition-free sequence of indices gives type-equal concatenations,
     length by length.
 
-    Takes k - 1 type queries for k indices: the concatenation c in sorted
-    index order against each of its adjacent block swaps c·σᵢ.  Both
-    policies are equivalences, and applying one position permutation τ to
-    both tuples keeps a verdict, so c ≡ c·σᵢ gives c·τ ≡ c·σᵢ·τ.  The
+    Takes k - 1 orbit queries for k indices: the concatenation c in sorted
+    index order against each of its adjacent block swaps c·σᵢ.  Orbit
+    equality is an equivalence, and applying one position permutation τ
+    to both tuples keeps a verdict, so c ≡ c·σᵢ gives c·τ ≡ c·σᵢ·τ.  The
     permutations π with c ≡ c·π are therefore closed under multiplication
     by each σᵢ, and the adjacent swaps generate Sym(k).  A shorter
     sequence is a prefix of a full one, and type equality passes to
@@ -699,7 +693,7 @@ def verify_indiscernible(m, tuples: Sequence[Sequence[int]], idx, policy="orbit"
         return tuple(x for b in seq for x in b)
 
     swaps = (blocks[:i] + [blocks[i + 1], blocks[i]] + blocks[i + 2:] for i in range(len(blocks) - 1))
-    return all(type_equal(m, cat(blocks), cat(swapped), policy) for swapped in swaps)
+    return all(type_equal(m, cat(blocks), cat(swapped)) for swapped in swaps)
 
 
 @record
@@ -765,15 +759,11 @@ def _generated_maps(s: FiniteStructure, pool: Sequence[int], depth: int) -> Iter
     its domain.  Every placed pair passes ``_delta_consistent``, so the maps
     on each domain are all its injective atom-preserving maps with closed
     range."""
-    closure_size: dict = {}  # frozenset of generator images -> size of its closure
     graphs = {f.name: f.as_dict for f in s.functions}
 
     def closed(combo, domain, fwd) -> bool:
-        key = frozenset(fwd[g] for g in combo)
-        size = closure_size.get(key)
-        if size is None:
-            size = closure_size[key] = len(qf_closure(s, key))
-        return size == len(domain)  # the range lies inside that closure
+        # the range lies inside the closure of the generators' images
+        return len(qf_closure(s, [fwd[g] for g in combo])) == len(domain)
 
     def extend(combo, domain, maps, g, candidates):
         if g in domain:

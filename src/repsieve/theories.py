@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from repsieve._record import record
@@ -57,9 +57,9 @@ class TheorySpec:
         "nested_eq_rel": ("sizes",),
         "linear_order": ("n",),
     }
-    # Desk models are built by exhaustive search: build-ex2 on eq_rel takes
-    # about 4 s at 64 elements and 17 s at 100 (2-vCPU VM, Python 3.11),
-    # growing roughly as n**3.
+    # Desk models are built by exhaustive search.  At the bound, build-ex2
+    # takes 0.4 s on eq_rel 8x8 and 0.7 s on pure_set 64, whole command
+    # (2-vCPU VM, Python 3.11); the README's Workspaces section has the table.
     MAX_UNIVERSE = 64
 
     @classmethod

@@ -147,7 +147,7 @@ def lift_to_terms(r):
     return RepresentationMap(r.source, enr.apply(target), r.f, carrier=ta, enrichment=enr)
 
 
-def indiscernible_by_walk(m, tuples, idx, length, policy="orbit") -> bool:
+def indiscernible_by_walk(m, tuples, idx, length) -> bool:
     """Set-indiscernibility by brute force: all repetition-free index
     sequences of each length up to ``length`` must give type-equal
     concatenations.  Transitivity lets every sequence be compared to the
@@ -162,7 +162,7 @@ def indiscernible_by_walk(m, tuples, idx, length, policy="orbit") -> bool:
         ref = tuple(x for k in first for x in tuples[k])
         for s in seqs[1:]:
             cat = tuple(x for k in s for x in tuples[k])
-            if not type_equal(m, ref, cat, policy):
+            if not type_equal(m, ref, cat):
                 return False
     return True
 

@@ -17,6 +17,7 @@ from repsieve import (
     save_workspace,
     sieve,
 )
+from repsieve import cli
 from repsieve.cli import run_command
 
 from conftest import save_lin4
@@ -413,6 +414,12 @@ class TestDeltaSystem:
     def test_negative_round_count_rejected(self, capsys):
         assert run_command(["delta-system", "--random", "-5"]) == 2
         assert "--random must be >= 0, got -5" in capsys.readouterr().err
+
+    def test_round_count_is_bounded(self, capsys, monkeypatch):
+        # the bound is checked before any family is drawn
+        monkeypatch.setattr(cli, "delta_system", None)
+        assert run_command(["delta-system", "--random", "100001"]) == 2
+        assert "--random must be <= 100000, got 100001" in capsys.readouterr().err
 
     def test_empty_family_names_the_flag(self, capsys):
         assert run_command(["delta-system", "--sets", "[]"]) == 2

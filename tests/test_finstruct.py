@@ -108,6 +108,13 @@ def trie_ids(s, length):
         yield from zip((prefix + (x,) for x in elems), trie.extension_ids(prefix, elems))
 
 
+def shuffled_types(s, tuples, seed):
+    """Each tuple with its ``qf_type`` in ``s``, queried in a seeded
+    shuffled order, so that the trie's memo grows out of walk order."""
+    tuples = random.Random(f"shuffle/{seed}").sample(tuples, len(tuples))
+    return [(t, qf_type(s, t)) for t in tuples]
+
+
 def generation_order_key(s, t):
     """The qf key the prefix trie replaced: the closure labelled in
     generation order (generators by first occurrence, then per round and
@@ -147,6 +154,7 @@ def test_qf_type_matches_brute_force_classes(seed):
         expected = partition((t, brute_qf_key(s, t)) for t in tuples)
         assert partition((t, qf_type(s, t)) for t in tuples) == expected
         assert partition(trie_ids(s, length)) == expected
+        assert partition(shuffled_types(random_structure(seed), tuples, seed)) == expected
 
 
 def partition_structure(seed):
@@ -174,6 +182,7 @@ def test_qf_partition_matches_generation_order_key(seed):
         expected = partition((t, generation_order_key(s, t)) for t in tuples)
         assert partition((t, qf_type(s, t)) for t in tuples) == expected
         assert partition(trie_ids(s, length)) == expected
+        assert partition(shuffled_types(partition_structure(seed), tuples, seed)) == expected
 
 
 class TestQfClosure:

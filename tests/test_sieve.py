@@ -280,22 +280,12 @@ class TestVerifyIndiscernible:
     def test_order_matters_on_linear_source(self):
         m = linear(4)
         singles = [(i,) for i in range(4)]
-        # the order is atomic, so no two elements are indiscernible under
-        # either policy
+        # the order is atomic, so no two elements are indiscernible
         assert not verify_indiscernible(m, singles, {0, 1})
-        assert not verify_indiscernible(m, singles, {1, 2}, policy=("ef", 1))
-
-    def test_one_game_round_is_coarser_than_orbits(self):
-        m = eq_structure([{0, 1}, {2, 3, 4}])
-        singles = [(i,) for i in range(5)]
-        # class sizes 2 and 3 tell 0 from 2, but only in two rounds
-        assert not verify_indiscernible(m, singles, {0, 2})
-        assert verify_indiscernible(m, singles, {0, 2}, policy=("ef", 1))
-        assert not verify_indiscernible(m, singles, {0, 2}, policy=("ef", 2))
+        assert not verify_indiscernible(m, singles, {1, 2})
 
 
-@pytest.mark.parametrize("policy", ["orbit", ("ef", 1), ("ef", 2)], ids=str)
-def test_swap_test_matches_the_sequence_walk(policy):
+def test_swap_test_matches_the_sequence_walk():
     verdicts = set()
     for seed in range(60):
         s = random_structure(seed)
@@ -303,8 +293,8 @@ def test_swap_test_matches_the_sequence_walk(policy):
         k = rng.randint(1, 2)
         tuples = [tuple(rng.randrange(s.size) for _ in range(k)) for _ in range(rng.randint(1, 4))]
         idx = rng.sample(range(len(tuples)), rng.randint(0, len(tuples)))
-        fast = verify_indiscernible(s, tuples, idx, policy)
-        assert fast == indiscernible_by_walk(s, tuples, idx, len(idx), policy), (seed, tuples, idx)
+        fast = verify_indiscernible(s, tuples, idx)
+        assert fast == indiscernible_by_walk(s, tuples, idx, len(idx)), (seed, tuples, idx)
         verdicts.add(fast)
     assert verdicts == {True, False}
 
