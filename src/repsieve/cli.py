@@ -241,7 +241,7 @@ def _emit(args, human: str, machine: dict) -> None:
     """Print the human report; with ``--out``, write the machine report as
     JSON with sorted keys."""
     print(human)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(machine, indent=2, sort_keys=True) + "\n")
 
@@ -374,6 +374,15 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
+def _random_families(seed: int, rounds: int):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        drawn: dict = {}  # distinct 2-sets, in the order drawn
+        while len(drawn) < 9:
+            drawn[tuple(sorted(rng.sample(range(100), 2)))] = None
+        yield list(drawn)
+
+
 def _cmd_delta_system(args) -> int:
     _at_least("--target", args.target, 2)
     _at_least("--random", args.random, 0)
@@ -381,43 +390,33 @@ def _cmd_delta_system(args) -> int:
         raise WorkspaceError(f"--random must be <= {MAX_RANDOM_FAMILIES}, got {args.random}")
     if args.sets is None and not args.random:
         raise WorkspaceError("delta-system needs --sets or --random")
-    if args.sets is not None:
+    random_run = args.sets is None
+    if random_run:
+        families = _random_families(args.seed, args.random)
+    else:
         family = _parse_json_lists(args.sets, "--sets")
         for i, members in enumerate(family):
             for j, x in enumerate(members):
                 # the packing hashes and sorts the elements
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise WorkspaceError(f"--sets[{i}][{j}]: expected an integer, got {x!r}")
+        families = [family]
+    for round_no, family in enumerate(families):
         outcome = delta_system(family, args.target)
         if isinstance(outcome, DeltaSystemFailure):
             _emit(args, *_delta_failure_artifact(outcome))
-            return 1
-        problems = validate_sunflower(family, outcome)
-        _emit(args, *_certificate_artifact(outcome))
-        if problems:
-            print("certificate rejected: " + "; ".join(problems))
-            return 1
-        return 0
-    rng = random.Random(args.seed)
-    last = None
-    for round_no in range(args.random):
-        drawn: dict = {}  # distinct 2-sets, in the order drawn
-        while len(drawn) < 9:
-            drawn[tuple(sorted(rng.sample(range(100), 2)))] = None
-        family = list(drawn)
-        outcome = delta_system(family, args.target)
-        if isinstance(outcome, DeltaSystemFailure):
-            _emit(args, *_delta_failure_artifact(outcome))
-            print(f"failed on round {round_no}")
+            if random_run:
+                print(f"failed on round {round_no}")
             return 1
         problems = validate_sunflower(family, outcome)
         if problems:
             _emit(args, *_certificate_artifact(outcome))
-            print(f"certificate rejected on round {round_no}: " + "; ".join(problems))
+            where = f" on round {round_no}" if random_run else ""
+            print(f"certificate rejected{where}: " + "; ".join(problems))
             return 1
-        last = outcome
-    print(f"{args.random} random families packed and validated")
-    _emit(args, *_certificate_artifact(last))
+    if random_run:
+        print(f"{args.random} random families packed and validated")
+    _emit(args, *_certificate_artifact(outcome))
     return 0
 
 

@@ -25,9 +25,10 @@ preserves that reduct's atoms both ways.  The target expands the level
 reduct, which expands the term reduct, so each stage refines the last.
 
 The position-wise map between any two survivors is a partial automorphism
-of the target.  The probe compares the qf types of the two orderings of
-a formula-ordered pair of survivors, and refutes either the
-representation or the chain when they agree.
+of the target.  The probe compares the qf types of the images of the two
+orderings of a relation-ordered pair of survivors, and refutes the
+representation when they agree: the orderings themselves never share a
+type.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repsieve.finstruct import (
     FiniteStructure,
     PartialAutomorphism,
     qf_type,
-    type_equal,
 )
 from repsieve.represent import RepresentationMap
 from repsieve.sunflower import (
@@ -191,7 +191,7 @@ def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) 
 
 @record
 class ProbeReport:
-    status: str  # "representation_refuted" | "chain_refuted" | "inconclusive"
+    status: str  # "representation_refuted" | "inconclusive"
     pair: tuple | None = None  # chain indices (i, j) the refutation rests on
     forward: tuple | None = None  # source tuple ordered i before j
     backward: tuple | None = None  # source tuple ordered j before i
@@ -199,53 +199,40 @@ class ProbeReport:
 
     @property
     def refuted(self) -> bool:
-        return self.status in ("representation_refuted", "chain_refuted")
+        return self.status == "representation_refuted"
 
 
 def instability_probe(
     r: RepresentationMap,
-    phi,
+    phi: str,
     chain: Sequence[Sequence[int]],
 ) -> ProbeReport:
-    """Refute a representation (or the chain handed in) from a formula-ordered
-    chain of source tuples.
+    """Refute a representation from a chain of source tuples that the source
+    relation ``phi``, of the concatenated arity, orders: ``chain[i] +
+    chain[j]`` is in ``phi`` exactly when ``i < j``.  That is checked first
+    and rejected outright when it fails.
 
-    ``phi`` is either the name of a source relation of the concatenated
-    arity, or a callable ``phi(source, left, right) -> bool``.  The chain
-    must be strictly ordered by ``phi`` in both directions; that is checked
-    first and rejected outright when it fails.
-
-    The source types of the two orderings come from the exact orbit
-    oracle: the game oracle can only merge tuples that the orbit oracle
-    separates, which would turn a refuted representation into a refuted
-    chain.
+    For ``i < j`` an automorphism of the source maps ``chain[i] +
+    chain[j]``, which is in ``phi``, to a tuple in ``phi``; ``chain[j] +
+    chain[i]`` is not in ``phi``, so the two orderings are never
+    type-equal.  When their images share a qf type, a good representation
+    would make them type-equal, so the representation is refuted.
     """
     chain = tuple(tuple(t) for t in chain)
     if not chain:
         raise ValueError("chain precondition failure: empty chain")
     _check_in_universe(chain, r.source.size, "chain")
-    if isinstance(phi, str):
-        if phi not in (rel.name for rel in r.source.relations):
-            raise ValueError(f"chain precondition failure: unknown relation {phi!r}")
-        rel = r.source.relation(phi)
-
-        def holds(a, b):
-            cat = a + b
-            if len(cat) != rel.arity:
-                raise ValueError(
-                    f"chain precondition failure: relation {phi} has arity "
-                    f"{rel.arity}, tuples concatenate to {len(cat)}"
-                )
-            return cat in rel.tuples
-
-    elif callable(phi):
-        def holds(a, b):
-            return bool(phi(r.source, a, b))
-
-    else:
-        raise ValueError("phi must be a relation name or a callable")
+    if phi not in (rel.name for rel in r.source.relations):
+        raise ValueError(f"chain precondition failure: unknown relation {phi!r}")
+    rel = r.source.relation(phi)
     for i, j in itertools.product(range(len(chain)), repeat=2):
-        if holds(chain[i], chain[j]) != (i < j):
+        cat = chain[i] + chain[j]
+        if len(cat) != rel.arity:
+            raise ValueError(
+                f"chain precondition failure: relation {phi} has arity "
+                f"{rel.arity}, tuples concatenate to {len(cat)}"
+            )
+        if (cat in rel.tuples) != (i < j):
             raise ValueError(
                 f"chain precondition failure: phi(chain[{i}], chain[{j}]) "
                 f"should be {i < j}"
@@ -259,35 +246,14 @@ def instability_probe(
     i, j = sorted(trace.s3)[:2]
     forward = chain[i] + chain[j]
     backward = chain[j] + chain[i]
-    qf_fwd = qf_type(r.target, r.image(forward))
-    qf_bwd = qf_type(r.target, r.image(backward))
-    if qf_fwd != qf_bwd:
-        return ProbeReport(
-            status="inconclusive",
-            pair=(i, j),
-            forward=forward,
-            backward=backward,
-            detail="the images of the two orderings differ in qf type; nothing to refute",
+    if qf_type(r.target, r.image(forward)) == qf_type(r.target, r.image(backward)):
+        status = "representation_refuted"
+        detail = (
+            "images of the two orderings share a qf type, so a good "
+            "representation would force the orderings to be type-equal; "
+            "phi separates them"
         )
-    if not type_equal(r.source, forward, backward):
-        return ProbeReport(
-            status="representation_refuted",
-            pair=(i, j),
-            forward=forward,
-            backward=backward,
-            detail=(
-                "images of the two orderings share a qf type, so a good "
-                "representation would force the orderings to be type-equal; "
-                "phi separates them"
-            ),
-        )
-    return ProbeReport(
-        status="chain_refuted",
-        pair=(i, j),
-        forward=forward,
-        backward=backward,
-        detail=(
-            "the two orderings are type-equal on the source, so phi cannot "
-            "order the chain the way the precondition claimed"
-        ),
-    )
+    else:
+        status = "inconclusive"
+        detail = "the images of the two orderings differ in qf type; nothing to refute"
+    return ProbeReport(status, (i, j), forward, backward, detail)

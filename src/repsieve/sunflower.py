@@ -163,17 +163,13 @@ def delta_system(family: Sequence[Sequence], target: int):
                     if not exhaustive or budget[0] < 0:
                         inconclusive = True
                     continue
-                selected = tuple(sorted(chosen))
-                agree = frozenset(
-                    p
-                    for p in range(length)
-                    if len({seqs[i][p] for i in selected}) == 1
-                )
+                # the selected sequences hold the root's values at the key's
+                # positions, and disjoint petals everywhere else
                 return SunflowerCertificate(
-                    selected=selected,
+                    selected=tuple(sorted(chosen)),
                     root=root,
                     common_length=length,
-                    agree_idx=agree,
+                    agree_idx=frozenset(key[0]),
                     rep_equiv=equiv,
                     mode="exhaustive" if exhaustive else "greedy",
                 )

@@ -408,6 +408,21 @@ class TestDeltaSystem:
                             "--out", b]) == 0
         assert open(a).read() == open(b).read()
 
+    @pytest.mark.parametrize("argv, rejected_on, line", [
+        (["--sets", "[[1,2],[3,4],[5,6]]"], 0, "certificate rejected: bad"),
+        (["--random", "5"], 2, "certificate rejected on round 2: bad"),
+    ], ids=["sets", "random"])
+    def test_rejected_certificate_is_reported(self, argv, rejected_on, line, monkeypatch, capsys):
+        verdicts = iter([[]] * rejected_on + [["bad"]])
+        monkeypatch.setattr(cli, "validate_sunflower", lambda family, cert: next(verdicts))
+        assert run_command(["delta-system", *argv]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("sunflower certificate") and out.endswith("\n" + line + "\n")
+
+    def test_random_failure_names_its_round(self, capsys):
+        assert run_command(["delta-system", "--random", "3", "--target", "10"]) == 1
+        assert capsys.readouterr().out.endswith(", target is 10\nfailed on round 0\n")
+
     def test_needs_input(self, capsys):
         assert run_command(["delta-system"]) == 2
 
