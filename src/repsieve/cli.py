@@ -283,7 +283,7 @@ def _int(text: str) -> int:
 
 def _parse_int_list(text: str, flag: str) -> tuple:
     try:
-        return tuple(_int(x) for x in text.split(",") if x != "")
+        return tuple(_int(x) for x in text.split(","))
     except argparse.ArgumentTypeError as exc:
         raise WorkspaceError(f"{flag} must be a comma-separated integer list: {exc}") from exc
 
@@ -385,14 +385,16 @@ def _random_families(seed: int, rounds: int):
 
 def _cmd_delta_system(args) -> int:
     _at_least("--target", args.target, 2)
-    _at_least("--random", args.random, 0)
-    if args.random > MAX_RANDOM_FAMILIES:
-        raise WorkspaceError(f"--random must be <= {MAX_RANDOM_FAMILIES}, got {args.random}")
-    if args.sets is None and not args.random:
-        raise WorkspaceError("delta-system needs --sets or --random")
     random_run = args.sets is None
+    if not random_run and (args.random is not None or args.seed is not None):
+        raise WorkspaceError("delta-system takes --sets or --random with its --seed, not both")
     if random_run:
-        families = _random_families(args.seed, args.random)
+        if not args.random:
+            raise WorkspaceError("delta-system needs --sets or --random")
+        _at_least("--random", args.random, 0)
+        if args.random > MAX_RANDOM_FAMILIES:
+            raise WorkspaceError(f"--random must be <= {MAX_RANDOM_FAMILIES}, got {args.random}")
+        families = _random_families(args.seed or 0, args.random)
     else:
         family = _parse_json_lists(args.sets, "--sets")
         for i, members in enumerate(family):
@@ -500,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", help="JSON list of sequences")
     p.add_argument("--target", type=_int, default=3)
     p.add_argument(
-        "--random", type=_int, default=0,
+        "--random", type=_int,
         help="run N seeded random families, each of nine distinct 2-subsets of 0..99",
     )
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_int, help="seed of the --random families, default 0")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_delta_system)
 

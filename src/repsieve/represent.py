@@ -83,9 +83,10 @@ class RepresentationMap:
         out = []
         if len(self.f) != self.source.size:
             out.append(f"map covers {len(self.f)} elements, source has {self.source.size}")
-        for x, y in enumerate(self.f):
-            if not (0 <= y < self.target.size):
-                out.append(f"f({x}) = {y} outside target universe")
+        outside = [(x, y) for x, y in enumerate(self.f) if not 0 <= y < self.target.size]
+        out += [f"f({x}) = {y} outside target universe" for x, y in outside]
+        if outside:
+            return out  # the closure would look the outside images up in the target
         rng = sorted(set(self.f))
         closed = set(qf_closure(self.target, rng))
         extra = closed - set(rng)
@@ -124,14 +125,6 @@ class ViolationReport:
     @property
     def empty(self) -> bool:
         return not self.entries
-
-
-def _reject_degenerate(source: FiniteStructure, policy: CheckerPolicy):
-    if policy.delta == ("ef", 0) and any(r.tuples for r in source.relations):
-        raise ValueError(
-            "source-side depth 0 cannot separate anything the relations see; "
-            "use depth >= 1 or the orbit oracle"
-        )
 
 
 def _check_tuple_count(n: int, policy: CheckerPolicy) -> None:
@@ -176,7 +169,6 @@ def check_representation(
     """
     _check_tuple_count(r.source.size, policy)
     _validated(r)
-    _reject_degenerate(r.source, policy)
     entries = []
     checked = 0
     trie = r.target.qf_types
@@ -226,7 +218,6 @@ def check_by_partial_automorphisms(
     """
     _check_tuple_count(r.source.size, policy)
     _validated(r)
-    _reject_degenerate(r.source, policy)
     rng = sorted(set(r.f))
     # each source tuple, grouped by the sorted set of its image's elements
     by_generators: dict = {}

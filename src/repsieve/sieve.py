@@ -25,10 +25,9 @@ preserves that reduct's atoms both ways.  The target expands the level
 reduct, which expands the term reduct, so each stage refines the last.
 
 The position-wise map between any two survivors is a partial automorphism
-of the target.  The probe compares the qf types of the images of the two
-orderings of a relation-ordered pair of survivors, and refutes the
-representation when they agree: the orderings themselves never share a
-type.
+of the target.  The probe does not sieve: it scans the pairs of a
+relation-ordered chain and refutes the representation at the first whose
+two orderings have images of one qf type, as the orderings never do.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ def witness_automorphism(trace: SieveTrace, u: Sequence[int], v: Sequence[int]) 
 @record
 class ProbeReport:
     status: str  # "representation_refuted" | "inconclusive"
-    pair: tuple | None = None  # chain indices (i, j) the refutation rests on
+    pair: tuple | None = None  # the first chain indices i < j whose orderings' images are qf-equal
     forward: tuple | None = None  # source tuple ordered i before j
     backward: tuple | None = None  # source tuple ordered j before i
     detail: str = ""
@@ -216,7 +215,8 @@ def instability_probe(
     chain[j]``, which is in ``phi``, to a tuple in ``phi``; ``chain[j] +
     chain[i]`` is not in ``phi``, so the two orderings are never
     type-equal.  When their images share a qf type, a good representation
-    would make them type-equal, so the representation is refuted.
+    would make them type-equal, so the representation is refuted at the
+    first such pair ``i < j`` in lexicographic order.
     """
     chain = tuple(tuple(t) for t in chain)
     if not chain:
@@ -237,23 +237,14 @@ def instability_probe(
                 f"chain precondition failure: phi(chain[{i}], chain[{j}]) "
                 f"should be {i < j}"
             )
-    if len(chain) < 2:
-        return ProbeReport(status="inconclusive", detail="chain has fewer than two tuples")
-    try:
-        trace = sieve(r, chain, target=2)
-    except SieveBottleneck as exc:
-        return ProbeReport(status="inconclusive", detail=str(exc))
-    i, j = sorted(trace.s3)[:2]
-    forward = chain[i] + chain[j]
-    backward = chain[j] + chain[i]
-    if qf_type(r.target, r.image(forward)) == qf_type(r.target, r.image(backward)):
-        status = "representation_refuted"
-        detail = (
-            "images of the two orderings share a qf type, so a good "
-            "representation would force the orderings to be type-equal; "
-            "phi separates them"
-        )
-    else:
-        status = "inconclusive"
-        detail = "the images of the two orderings differ in qf type; nothing to refute"
-    return ProbeReport(status, (i, j), forward, backward, detail)
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        forward, backward = chain[i] + chain[j], chain[j] + chain[i]
+        if qf_type(r.target, r.image(forward)) == qf_type(r.target, r.image(backward)):
+            detail = (
+                "images of the two orderings share a qf type, so a good "
+                "representation would force the orderings to be type-equal; "
+                "phi separates them"
+            )
+            return ProbeReport("representation_refuted", (i, j), forward, backward, detail)
+    detail = "no two chain tuples have orderings whose images share a qf type"
+    return ProbeReport("inconclusive", detail=detail)

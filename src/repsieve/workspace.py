@@ -106,10 +106,10 @@ def _structure_parse(doc, where: str) -> FiniteStructure:
         here = f"{where}.relations[{i}]"
         _expect_keys(rel, here, {"name", "arity", "tuples"}, set())
         tuples = _list(rel["tuples"], f"{here}.tuples")
-        relations[_str(rel["name"], f"{here}.name")] = (
+        _put_name(relations, rel["name"], here, (
             _arity(rel["arity"], f"{here}.arity"),
             [_ints(t, f"{here}.tuples[{j}]") for j, t in enumerate(tuples)],
-        )
+        ))
     functions = {}
     for i, fn in enumerate(_list(doc.get("functions", []), f"{where}.functions")):
         here = f"{where}.functions[{i}]"
@@ -120,8 +120,8 @@ def _structure_parse(doc, where: str) -> FiniteStructure:
             row = _ints(row, f"{here}.graph[{j}]")
             if len(row) != arity + 1:
                 raise WorkspaceError(f"{here}: graph row {list(row)} does not fit arity {arity}")
-            graph[row[:arity]] = row[arity]
-        functions[_str(fn["name"], f"{here}.name")] = (arity, graph)
+            _put_row(graph, row[:arity], row[arity], f"{here}.graph[{j}]")
+        _put_name(functions, fn["name"], here, (arity, graph))
     universe = _int(doc["universe"], f"{where}.universe")
     # no carrier derives a larger target, and every element costs memory
     if universe > MAX_TERMS:
@@ -162,8 +162,8 @@ def _enrichment_parse(doc, where: str) -> Enrichment:
             row = _ints(row, f"{here}.graph[{j}]")
             if len(row) != 2:
                 raise WorkspaceError(f"{here}.graph[{j}]: expected [argument, value], got {list(row)}")
-            graph[row[0]] = row[1]
-        functions[_str(fn["name"], f"{here}.name")] = graph
+            _put_row(graph, row[:1], row[1], f"{here}.graph[{j}]")
+        _put_name(functions, fn["name"], here, graph)
     try:
         return Enrichment.make(levels, functions)
     except (TypeError, ValueError) as exc:
@@ -184,7 +184,7 @@ def _signature_parse(doc, where: str) -> TermAlgebra:
     for i, sym in enumerate(_list(doc["symbols"], f"{where}.symbols")):
         here = f"{where}.symbols[{i}]"
         _expect_keys(sym, here, {"name", "arity"}, set())
-        arities[_str(sym["name"], f"{here}.name")] = _int(sym["arity"], f"{here}.arity")
+        _put_name(arities, sym["name"], here, _int(sym["arity"], f"{here}.arity"))
     base = _int(doc["base"], f"{where}.base")
     depth = _int(doc["depth"], f"{where}.depth")
     try:
@@ -291,6 +291,19 @@ def _str(value, where: str) -> str:
     if not isinstance(value, str):
         raise WorkspaceError(f"{where}: expected a string, got {json.dumps(value)}")
     return value
+
+
+def _put_name(named: dict, name, where: str, value) -> None:
+    """Add the entry at ``where`` under its name, which must be new."""
+    if _str(name, f"{where}.name") in named:
+        raise WorkspaceError(f"{where}.name: duplicate name {name!r}")
+    named[name] = value
+
+
+def _put_row(graph: dict, args: tuple, value: int, where: str) -> None:
+    """Add a function graph row; a repeated row is fine, a second value is not."""
+    if graph.setdefault(args, value) != value:
+        raise WorkspaceError(f"{where}: arguments {list(args)} already map to {graph[args]}")
 
 
 def _list(value, where: str) -> list:

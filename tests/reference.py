@@ -9,11 +9,12 @@ from repsieve import (
     PartialAutomorphism,
     RepresentationMap,
     TermAlgebra,
+    qf_type,
     trivial_enrichment,
     type_equal,
 )
 from repsieve.finstruct import _admit_pairs, _delta_consistent
-from repsieve.sieve import _padded_image
+from repsieve.sieve import SieveBottleneck, _padded_image, sieve
 from repsieve.sunflower import validate_sunflower
 
 
@@ -145,6 +146,22 @@ def lift_to_terms(r):
     target = FiniteStructure.make(base.size, relations=relations)
     enr = trivial_enrichment(target)
     return RepresentationMap(r.source, enr.apply(target), r.f, carrier=ta, enrichment=enr)
+
+
+def probe_by_sieve_pair(r, phi, chain):
+    """The probe as it once was, for a chain ``phi`` orders: sieve the
+    chain to two survivors and compare the qf types of the images of the
+    two orderings of the first two, and of no other pair.  Returns that
+    pair when the images agree, else None."""
+    chain = [tuple(t) for t in chain]
+    try:
+        i, j = sorted(sieve(r, chain).s3)[:2]
+    except SieveBottleneck:
+        return None
+    forward, backward = chain[i] + chain[j], chain[j] + chain[i]
+    if qf_type(r.target, r.image(forward)) == qf_type(r.target, r.image(backward)):
+        return (i, j)
+    return None
 
 
 def indiscernible_by_walk(m, tuples, idx, length) -> bool:

@@ -85,6 +85,9 @@ class TestCheckers:
     def test_ef_delta_accepted(self, ex2_ws):
         assert run_command(["check-representation", ex2_ws, "--delta", "ef:1"]) == 0
 
+    def test_ef_depth_zero_accepted(self, ex2_ws):
+        assert run_command(["check-representation", ex2_ws, "--delta", "ef:0"]) == 0
+
     def test_negative_ef_depth_rejected(self, ex2_ws, capsys):
         assert run_command(["check-representation", ex2_ws, "--delta", "ef:-1"]) == 2
         assert "error: --delta must be 'orbit' or 'ef:D', got 'ef:-1'" in capsys.readouterr().err
@@ -426,6 +429,14 @@ class TestDeltaSystem:
     def test_needs_input(self, capsys):
         assert run_command(["delta-system"]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--random", "5", "--seed", "3"], ["--random", "5"], ["--seed", "3"],
+    ], ids=["random-and-seed", "random", "seed"])
+    def test_sets_exclude_random(self, extra, capsys):
+        assert run_command(["delta-system", "--sets", "[[1,2],[3,4],[5,6]]", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--sets" in err and "--random" in err
+
     def test_negative_round_count_rejected(self, capsys):
         assert run_command(["delta-system", "--random", "-5"]) == 2
         assert "--random must be >= 0, got -5" in capsys.readouterr().err
@@ -479,6 +490,12 @@ class TestProbe:
         assert run_command(["probe-instability", lin4_ws, "--phi", "lt", chain]) == 2
         err = capsys.readouterr().err
         assert f"error: {field}: expected an element of the source universe 0..3, got {got}" in err
+
+    @pytest.mark.parametrize("chain", ["0,,1", "0,1,", ""], ids=["inner", "trailing", "empty"])
+    def test_empty_chain_items_rejected(self, lin4_ws, chain, capsys):
+        assert run_command(["probe-instability", lin4_ws, "--phi", "lt", "--chain", chain]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --chain must be a comma-separated integer list")
 
     def test_short_chain_inconclusive(self, lin4_ws, capsys):
         assert run_command(["probe-instability", lin4_ws, "--phi", "lt",

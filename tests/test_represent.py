@@ -66,6 +66,15 @@ class TestRepresentationMap:
         with pytest.raises(ValueError, match="not closed"):
             check_representation(r)
 
+    @pytest.mark.parametrize("image", [5, -1], ids=["past-the-universe", "negative"])
+    def test_image_outside_the_target_reported(self, image):
+        r = RepresentationMap.make(FiniteStructure.make(2), FiniteStructure.make(2), [0, image])
+        problem = f"f(1) = {image} outside target universe"
+        assert r.validate() == [problem]
+        for checker in (check_representation, check_by_partial_automorphisms):
+            with pytest.raises(ValueError, match=rf"^invalid representation map: f\(1\) = {image} "):
+                checker(r)
+
     def test_fibers(self):
         r = one_per_class_rep(False)
         assert r.fibers[r.f[1]] == (1, 2)
@@ -103,10 +112,14 @@ class TestCheckRepresentation:
             assert not type_equal(r.source, a, b)
             assert not type_equal(r.source, b, a)
 
-    def test_ef_policy_degenerate_depth_rejected(self):
-        r = one_per_class_rep(True)
-        with pytest.raises(ValueError, match="depth"):
-            check_representation(r, CheckerPolicy(delta=("ef", 0)))
+    def test_ef_depth_zero_is_atomic_equivalence_in_both_checkers(self):
+        # the game at depth 0 compares the tuples' atoms, which the relations see
+        policy = CheckerPolicy(delta=("ef", 0), max_tuple_len=2)
+        split, collapsed = one_per_class_rep(True), one_per_class_rep(False)
+        assert check_representation(split, policy).empty
+        assert check_by_partial_automorphisms(split, policy).empty
+        assert len(check_representation(collapsed, policy).entries) == 6
+        assert len(check_by_partial_automorphisms(collapsed, policy).entries) == 72
 
     def test_ef_depth_zero_fine_without_relations(self):
         src = FiniteStructure.make(4)

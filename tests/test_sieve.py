@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repsieve import (
     AlgebraSignature,
+    CheckerPolicy,
     Enrichment,
     FiniteStructure,
+    ProbeReport,
     RepresentationMap,
     SieveBottleneck,
     SieveTrace,
@@ -18,6 +20,7 @@ from repsieve import (
     build_layer_representation,
     build_sid,
     build_term_representation,
+    check_representation,
     desk_model,
     instability_probe,
     qf_type,
@@ -35,11 +38,12 @@ from conftest import eq3x3, eq_structure, linear
 from reference import (
     indiscernible_by_walk,
     lift_to_terms,
+    probe_by_sieve_pair,
     reference_stages,
     shape_vector,
     validate_trace,
 )
-from test_finstruct import branching_structure
+from test_finstruct import branching_structure, brute_qf_key
 from test_orbits import random_structure
 
 
@@ -302,12 +306,26 @@ def test_swap_test_matches_the_sequence_walk():
 class TestProbe:
     def test_qf_types_of_the_orderings_differ(self):
         # the identity of a linear order into itself: the singletons share a
-        # qf type, the two orderings of a pair do not, and the probe stops there
+        # qf type, the two orderings of no pair do
         r = RepresentationMap.make(linear(3), linear(3), {i: i for i in range(3)})
         report = instability_probe(r, "lt", [(0,), (1,), (2,)])
-        assert report.status == "inconclusive"
-        assert report.pair == (0, 1)
-        assert "qf type" in report.detail
+        assert report == ProbeReport(
+            "inconclusive",
+            detail="no two chain tuples have orderings whose images share a qf type",
+        )
+
+    def test_a_later_pair_refutes_when_the_first_does_not(self):
+        # only S(0, 1) holds in the target: it tells apart the images of the
+        # orderings of (0, 1), and those of (0, 2) share a qf type
+        target = FiniteStructure.make(4, relations={"S": (2, {(0, 1)})})
+        r = RepresentationMap.make(linear(4), target, list(range(4)))
+        chain = [(i,) for i in range(4)]
+        report = instability_probe(r, "lt", chain)
+        assert report.status == "representation_refuted"
+        assert (report.pair, report.forward, report.backward) == ((0, 2), (0, 2), (2, 0))
+        # the sieve's pair alone is (0, 1), which misses the refutation
+        assert probe_by_sieve_pair(r, "lt", chain) is None
+        assert len(check_representation(r, CheckerPolicy(max_tuple_len=2)).entries) == 15
 
     def test_linear_order_refutes_identity(self):
         src = linear(4)
@@ -365,7 +383,8 @@ class TestProbe:
         r = RepresentationMap.make(src, target, {0: 0, 1: 1})
         report = instability_probe(r, "lt", [(0,), (1,)])
         assert report.status == "inconclusive"
-        assert report.detail.startswith("stage0: largest compatible group has 1 members")
+        assert (report.pair, report.forward, report.backward) == (None, None, None)
+        assert report.detail == "no two chain tuples have orderings whose images share a qf type"
 
 
 def test_the_two_orderings_of_an_ordered_pair_never_share_a_type():
@@ -396,6 +415,77 @@ def test_the_two_orderings_of_an_ordered_pair_never_share_a_type():
             assert automorphism_extending(s, (a, b), (b, a)) is None, (seed, a, b)
         checked += len(pairs)
     assert checked > 200
+
+
+def ordered_map(seed):
+    """A seeded map out of a linear order into a carrier-less target with
+    random relations and, on odd seeds, random functions; every third seed
+    adds levels and a regressive function.  Function values stay in the
+    range, so the range is closed."""
+    rng = random.Random(f"ordered-map/{seed}")
+    n = rng.randint(2, 6)
+    size = rng.randint(1, n + 1)
+    f = [rng.randrange(size) for _ in range(n)] if seed % 4 else rng.sample(range(size + n), n)
+    size = max(size, max(f) + 1)
+    values = sorted(set(f))
+    relations = {
+        "P": (1, {(e,) for e in range(size) if rng.random() < 0.3}),
+        "S": (2, {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.3}),
+    }
+    functions = {}
+    if seed % 2:
+        functions["g"] = (1, {(a,): rng.choice(values) for a in range(size) if rng.random() < 0.5})
+        functions["m"] = (
+            2,
+            {(a, b): rng.choice(values) for a in range(size) for b in range(size) if rng.random() < 0.2},
+        )
+    base = FiniteStructure.make(size, relations=relations, functions=functions)
+    if seed % 3:
+        return RepresentationMap.make(linear(n), base, f)
+    level_of = [rng.randrange(2) for _ in range(size)]
+    levels = [{e for e in range(size) if level_of[e] == i} for i in range(2)]
+    d = {}
+    for a in range(size):
+        lower = [v for v in values if level_of[v] < level_of[a]]
+        if lower and rng.random() < 0.6:
+            d[a] = rng.choice(lower)
+    enr = Enrichment.make(levels, {"d": d})
+    return RepresentationMap.make(linear(n), enr.apply(base), f, enrichment=enr)
+
+
+def test_probe_refutes_at_the_first_pair_with_qf_equal_orderings():
+    outcomes = {"refuted": 0, "refuted_beyond_the_sieve_pair": 0, "inconclusive": 0}
+    for seed in range(240):
+        r = ordered_map(seed)
+        rng = random.Random(f"ordered-chain/{seed}")
+        n = r.source.size
+        chain = [(a,) for a in sorted(rng.sample(range(n), rng.randint(1, n)))]
+        report = instability_probe(r, "lt", chain)
+        reference = probe_by_sieve_pair(r, "lt", chain)
+        # (i) every refutation by the sieve's pair is still found
+        if reference is not None:
+            assert report.refuted and report.pair <= reference, seed
+        pairs = list(itertools.combinations(range(len(chain)), 2))
+        equal = [
+            brute_qf_key(r.target, r.image(chain[i] + chain[j]))
+            == brute_qf_key(r.target, r.image(chain[j] + chain[i]))
+            for i, j in pairs
+        ]
+        if report.refuted:
+            # (ii) the first qf-equal pair, whose orderings the source separates
+            i, j = report.pair
+            assert (report.forward, report.backward) == (chain[i] + chain[j], chain[j] + chain[i])
+            assert equal.index(True) == pairs.index((i, j)), seed
+            assert not type_equal(r.source, report.forward, report.backward), seed
+            assert not check_representation(r, CheckerPolicy(max_tuple_len=2)).empty, seed
+            outcomes["refuted"] += 1
+            outcomes["refuted_beyond_the_sieve_pair"] += reference is None
+        else:
+            # (iii) no pair has qf-equal orderings
+            assert report.status == "inconclusive" and report.pair is None, seed
+            assert not any(equal), seed
+            outcomes["inconclusive"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def carrierless_map(seed):

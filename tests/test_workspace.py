@@ -184,6 +184,59 @@ class TestDiagnostics:
             "does not fit arity",
         )
 
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            (
+                {"structures": {"s": {"universe": 2, "relations": [
+                    {"name": "R", "arity": 1, "tuples": [[0]]},
+                    {"name": "R", "arity": 1, "tuples": [[1]]}]}}},
+                "structures.s.relations[1].name: duplicate name 'R'",
+            ),
+            (
+                {"structures": {"s": {"universe": 2, "functions": [
+                    {"name": "g", "arity": 1, "graph": [[0, 1]]},
+                    {"name": "g", "arity": 1, "graph": [[1, 0]]}]}}},
+                "structures.s.functions[1].name: duplicate name 'g'",
+            ),
+            (
+                {"structures": {"t": {"universe": 2, "functions": [
+                    {"name": "g", "arity": 1, "graph": [[0, 1], [0, 0]]}]}}},
+                "structures.t.functions[0].graph[1]: arguments [0] already map to 1",
+            ),
+            (
+                {"signatures": {"c": {"symbols": [
+                    {"name": "F", "arity": 1}, {"name": "F", "arity": 2}], "base": 1, "depth": 1}}},
+                "signatures.c.symbols[1].name: duplicate name 'F'",
+            ),
+            (
+                {"enrichments": {"e": {"levels": [[0], [1]], "unary_fns": [
+                    {"name": "d", "graph": [[1, 0]]}, {"name": "d", "graph": []}]}}},
+                "enrichments.e.unary_fns[1].name: duplicate name 'd'",
+            ),
+            (
+                {"enrichments": {"e": {"levels": [[0, 1], [2]], "unary_fns": [
+                    {"name": "d", "graph": [[2, 0], [2, 1]]}]}}},
+                "enrichments.e.unary_fns[0].graph[1]: arguments [2] already map to 0",
+            ),
+        ],
+        ids=[
+            "relation-name", "function-name", "function-row",
+            "symbol-name", "enrichment-function-name", "enrichment-row",
+        ],
+    )
+    def test_duplicates_rejected(self, overrides, needle):
+        parse_err(doc(**overrides), needle)
+
+    def test_repeated_identical_rows_accepted(self):
+        ws = parse_workspace(doc(
+            structures={"s": {"universe": 2, "functions": [
+                {"name": "g", "arity": 1, "graph": [[0, 1], [0, 1]]}]}},
+            enrichments={"e": {"levels": [[0], [1]], "unary_fns": [
+                {"name": "d", "graph": [[1, 0], [1, 0]]}]}},
+        ))
+        assert ws == Workspace()
+
     def test_enrichment_partition(self):
         parse_err(
             doc(enrichments={"e": {"levels": [[0, 2]], "unary_fns": []}}),
