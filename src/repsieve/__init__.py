@@ -58,7 +58,6 @@ from repsieve.theories import (
     build_term_representation,
     check_strongly_independent,
     desk_model,
-    nested_class_oracle,
     singleton_prefix,
     theory_oracle,
     verify_decomposition,

@@ -43,7 +43,6 @@ from repsieve.theories import (
     build_layer_representation,
     build_sid,
     build_term_representation,
-    desk_model,
     singleton_prefix,
     theory_oracle,
 )
@@ -315,8 +314,7 @@ def _cmd_check(args) -> int:
 
 
 def _decompose(spec: TheorySpec, mode: str) -> Decomposition:
-    m = desk_model(spec)
-    return build_sid(theory_oracle(spec, m), m, mode)
+    return build_sid(theory_oracle(spec), mode)
 
 
 def _decomposed_theory(args, mode: str = "omega_stable"):

@@ -83,8 +83,11 @@ class RepresentationMap:
         out = []
         if len(self.f) != self.source.size:
             out.append(f"map covers {len(self.f)} elements, source has {self.source.size}")
-        outside = [(x, y) for x, y in enumerate(self.f) if not 0 <= y < self.target.size]
-        out += [f"f({x}) = {y} outside target universe" for x, y in outside]
+        outside = [
+            (x, y) for x, y in enumerate(self.f)
+            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.target.size
+        ]
+        out += [f"f({x}) = {y!r} outside target universe" for x, y in outside]
         if outside:
             return out  # the closure would look the outside images up in the target
         rng = sorted(set(self.f))

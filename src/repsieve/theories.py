@@ -4,20 +4,24 @@ the two representation builders.
 The catalog covers pure sets, single equivalence relations, nested chains
 of equivalence relations (all desk-scale and homogeneous: every class at a
 level has the same size), and finite linear orders as a negative control.
-For these, independence has an explicit combinatorial reading: a type over
-A forks over B exactly when A pins something (the element itself, or a
-class at some level) that B does not.  Nonforking extensions are unique
-here, because a type that stays unpinned is completely determined by the
-pins it inherits from the base; unique_nonforking therefore coincides with
-not-forking, and the test suite cross-checks that against a direct rival
-search over the model's automorphisms.
+For the stable entries, independence has an explicit combinatorial
+reading, and an ``IndependenceOracle`` answers three questions about its
+model: does a type fork (a type over A forks over B exactly when A pins
+something, the element itself or a class at some level, that B does not),
+over which small base does it not fork, and which canonical parameters
+recover a level's pattern.  Types over sets are stationary here: a type
+that stays unpinned is completely determined by the pins it inherits from
+the base, so its nonforking extension is unique, and "the unique
+nonforking extension" of the layer conditions is simply "does not fork".
+The test suite cross-checks that against a direct rival search over the
+model's automorphisms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 
 from repsieve._record import record
@@ -33,7 +37,6 @@ __all__ = [
     "Decomposition",
     "desk_model",
     "theory_oracle",
-    "nested_class_oracle",
     "check_strongly_independent",
     "build_sid",
     "verify_decomposition",
@@ -134,91 +137,77 @@ def desk_model(spec: TheorySpec) -> FiniteStructure:
     return FiniteStructure.make(n, relations=relations)
 
 
-@record
 class IndependenceOracle:
-    """Callback bundle answering independence questions for one desk model.
+    """Independence in one model carrying zero or more equivalence
+    relations, listed finest first; each must refine the next.
 
     forks(a, A, B): does the type of a over A fork over B (B ⊆ A expected).
-    unique_nonforking(a, A, B): is the type of a over A the unique
-    nonforking extension of its type over B.
     base(a, A): a small B ⊆ A over which the type of a over A does not
     fork, as a sorted tuple.
     canonical_params(phi, a, below): length-2 parameter tuple from which
     the phi-pattern of a over the (sorted) below set is recoverable.
-    level_names: the model's equivalence relations, finest first.
     """
 
-    forks: Callable
-    unique_nonforking: Callable
-    base: Callable
-    canonical_params: Callable
-    level_names: tuple = ()
+    def __init__(self, model: FiniteStructure, level_names: Sequence[str]):
+        self.model = model
+        self.level_names = tuple(level_names)
+        self._mates = {}  # level -> element -> its class at that level
+        universe = range(model.size)
+        for finer, name in zip((None,) + self.level_names, self.level_names):
+            rel = model.relation(name)
+            if rel.arity != 2:
+                raise ValueError(f"{name} is not binary")
+            table = {}
+            for x, y in rel.tuples:
+                table.setdefault(x, set()).add(y)
+            mates = {x: frozenset(v) for x, v in table.items()}
+            # reflexive, and every mate of x has the mates of x
+            if any(
+                x not in mates.get(x, ()) or any(mates.get(y) != mates[x] for y in mates[x])
+                for x in universe
+            ):
+                raise ValueError(f"{name} is not an equivalence relation")
+            if finer is not None and any(not self._mates[finer][x] <= mates[x] for x in universe):
+                raise ValueError(f"{finer} does not refine {name}")
+            self._mates[name] = mates
 
-
-def nested_class_oracle(m: FiniteStructure, level_names: Sequence[str]) -> IndependenceOracle:
-    """Oracle for a model carrying zero or more equivalence relations,
-    listed finest first (each must refine the next)."""
-    level_names = tuple(level_names)
-    mates = {}
-    for name in level_names:
-        rel = m.relation(name)
-        if rel.arity != 2:
-            raise ValueError(f"{name} is not binary")
-        table = {}
-        for x, y in rel.tuples:
-            table.setdefault(x, set()).add(y)
-        mates[name] = {x: frozenset(v) for x, v in table.items()}
-
-    def forks(a, big, small):
+    def forks(self, a, big, small) -> bool:
         big, small = set(big), set(small)
         if a in big and a not in small:
             return True
-        for name in level_names:
-            cls = mates[name].get(a, frozenset())
+        for name in self.level_names:
+            cls = self._mates[name][a]
             if cls & big and not cls & small:
                 return True
         return False
 
-    def unique_nonforking(a, big, small):
-        # nonforking extensions are unique in this catalog (see module
-        # docstring), so uniqueness reduces to not forking
-        return not forks(a, big, small)
-
-    def base(a, avail):
+    def base(self, a, avail) -> tuple:
         avail = set(avail)
         if a in avail:
             return (a,)
-        for name in level_names:
-            anchored = mates[name].get(a, frozenset()) & avail
+        for name in self.level_names:
+            anchored = self._mates[name][a] & avail
             if anchored:
                 return (min(anchored),)
         return ()
 
-    def canonical_params(phi, a, below):
+    def canonical_params(self, phi, a, below) -> tuple:
         below = sorted(below)
         if len(below) < 2:
             raise ValueError("canonical parameters need at least two earlier elements")
-        if phi not in mates:
+        if phi not in self._mates:
             raise ValueError(f"unknown level relation {phi!r}")
-        anchored = mates[phi].get(a, frozenset()) & set(below)
+        anchored = self._mates[phi][a] & set(below)
         if anchored:
             c = min(anchored)
             return (c, c)
         return (below[0], below[1])
 
-    return IndependenceOracle(
-        forks=forks,
-        unique_nonforking=unique_nonforking,
-        base=base,
-        canonical_params=canonical_params,
-        level_names=level_names,
-    )
 
-
-def theory_oracle(spec: TheorySpec, m: FiniteStructure) -> IndependenceOracle:
+def theory_oracle(spec: TheorySpec) -> IndependenceOracle:
     if spec.tag == "linear_order":
         raise NotImplementedError("no independence oracle for an unstable catalog entry")
-    return nested_class_oracle(m, _blocks(spec)[1][::-1])
+    return IndependenceOracle(desk_model(spec), _blocks(spec)[1][::-1])
 
 
 def check_strongly_independent(o: IndependenceOracle, elems, over) -> bool:
@@ -228,9 +217,7 @@ def check_strongly_independent(o: IndependenceOracle, elems, over) -> bool:
     elems, over = set(elems), set(over)
     if elems & over:
         raise ValueError("element set and base set must be disjoint")
-    return all(
-        o.unique_nonforking(a, over | (elems - {a}), over) for a in sorted(elems)
-    )
+    return not any(o.forks(a, over | (elems - {a}), over) for a in sorted(elems))
 
 
 @record
@@ -248,13 +235,13 @@ class ElementRecord:
 class Decomposition:
     layers: tuple  # tuple of ascending element tuples
     mode: str  # "generic" | "omega_stable"
-    model: FiniteStructure
     oracle: IndependenceOracle
 
     @cached_property
     def records(self) -> tuple:
-        """ElementRecord per element, sorted by element."""
-        o, m = self.oracle, self.model
+        """ElementRecord per element, sorted by element; the layers
+        partition 0..n-1, so ``records[a]`` is element a's record."""
+        o, m = self.oracle, self.oracle.model
         records = {}
         tags: dict = {}  # qf type id -> tag
         earlier: list = []
@@ -269,13 +256,6 @@ class Decomposition:
             earlier.extend(layer)
             earlier.sort()
         return tuple(records[a] for a in sorted(records))
-
-    @cached_property
-    def _by_element(self) -> dict:
-        return {rec.element: rec for rec in self.records}
-
-    def record(self, a: int) -> ElementRecord:
-        return self._by_element[a]
 
     def below(self, layer_index: int) -> tuple:
         return tuple(
@@ -304,17 +284,20 @@ def _max_indiscernible(m: FiniteStructure) -> tuple:
     return best
 
 
-def build_sid(o: IndependenceOracle, m: FiniteStructure, mode: str = "omega_stable") -> Decomposition:
+def build_sid(o: IndependenceOracle, mode: str = "omega_stable") -> Decomposition:
     """Greedy layered decomposition in ascending element order.
 
     generic: each layer is a maximal strongly-independent set over the
     earlier layers.  omega_stable: the first layer is a maximal
     indiscernible set over the empty set; each later layer admits an
     element when every member (including it) keeps the unique-nonforking
-    property over its own small base drawn from the earlier layers.
+    property over its own small base drawn from the earlier layers.  A
+    layer's first element never forks over its own base, so every layer is
+    nonempty.
     """
     if mode not in ("generic", "omega_stable"):
         raise ValueError(f"unknown mode {mode!r}")
+    m = o.model
     remaining = set(range(m.size))
     layers: list = []
     below: list = []
@@ -330,24 +313,16 @@ def build_sid(o: IndependenceOracle, m: FiniteStructure, mode: str = "omega_stab
             if mode == "generic":
                 ok = check_strongly_independent(o, trial, below)
             else:
-                ok = all(
-                    o.unique_nonforking(
-                        x,
-                        set(below) | (set(trial) - {x}),
-                        o.base(x, below),
-                    )
+                ok = not any(
+                    o.forks(x, set(below) | (set(trial) - {x}), o.base(x, below))
                     for x in trial
                 )
             if ok:
                 layer.append(a)
-        if not layer:
-            raise RuntimeError(
-                "no element can start a new layer; the oracle does not fit the model"
-            )
         layers.append(tuple(layer))
         remaining -= set(layer)
         below = sorted(set(below) | set(layer))
-    return Decomposition(layers=tuple(layers), mode=mode, model=m, oracle=o)
+    return Decomposition(layers=tuple(layers), mode=mode, oracle=o)
 
 
 def verify_decomposition(d: Decomposition) -> list:
@@ -361,7 +336,7 @@ def verify_decomposition(d: Decomposition) -> list:
     unique nonforking extension of its type over its recorded base, which
     must sit inside the earlier layers.
     """
-    o, m = d.oracle, d.model
+    o, m = d.oracle, d.oracle.model
     out = []
     flat = sorted(x for layer in d.layers for x in layer)
     if flat != list(range(m.size)):
@@ -378,10 +353,10 @@ def verify_decomposition(d: Decomposition) -> list:
     for idx, layer in enumerate(d.layers[1:], start=1):
         below = set(d.below(idx))
         for a in layer:
-            base = set(d.record(a).base)
+            base = set(d.records[a].base)
             if not base <= below:
                 out.append(f"base of {a} leaves the earlier layers")
-            elif not o.unique_nonforking(a, below | (set(layer) - {a}), base):
+            elif o.forks(a, below | (set(layer) - {a}), base):
                 out.append(f"{a} has no unique nonforking type over its base")
     return out
 
@@ -407,7 +382,7 @@ def singleton_prefix(d: Decomposition) -> Decomposition:
         rest = layer[cut:]
         if rest:
             new_layers.append(rest)
-    refined = Decomposition(tuple(new_layers), d.mode, d.model, d.oracle)
+    refined = Decomposition(tuple(new_layers), d.mode, d.oracle)
     problems = verify_decomposition(refined)
     if problems:
         raise ValueError("refinement breaks the layer conditions: " + "; ".join(problems))
@@ -433,7 +408,7 @@ def build_term_representation(d: Decomposition, mode: str = "copy_index") -> Rep
         term_of[a] = Term.of_base(rank)
     for layer in d.layers[1:]:
         for a in layer:
-            rec = d.record(a)
+            rec = d.records[a]
             arity = len(rec.base)
             head = "c" if arity == 0 else "F"
             if mode == "copy_index":
@@ -449,7 +424,7 @@ def build_term_representation(d: Decomposition, mode: str = "copy_index") -> Rep
     base = ta.as_structure
     enr = trivial_enrichment(base)
     f = {a: ta.term_id(t) for a, t in term_of.items()}
-    return RepresentationMap.make(d.model, enr.apply(base), f, carrier=ta, enrichment=enr)
+    return RepresentationMap.make(d.oracle.model, enr.apply(base), f, carrier=ta, enrichment=enr)
 
 
 def build_layer_representation(d: Decomposition) -> RepresentationMap:
@@ -460,7 +435,7 @@ def build_layer_representation(d: Decomposition) -> RepresentationMap:
         raise ValueError(
             "first two layers must be singletons; refine the decomposition first"
         )
-    o, m = d.oracle, d.model
+    o, m = d.oracle, d.oracle.model
     functions: dict = {}
     star: dict = {}
     for idx, layer in enumerate(d.layers[2:], start=2):
@@ -476,7 +451,7 @@ def build_layer_representation(d: Decomposition) -> RepresentationMap:
                             "the earlier layers"
                         )
                     functions.setdefault(f"F[{phi},{j}]", {})[a] = value
-            for i, value in enumerate(d.record(a).base):
+            for i, value in enumerate(d.records[a].base):
                 if value not in below_set:
                     raise ValueError(
                         f"base element {value} for {a} lies outside the earlier layers"

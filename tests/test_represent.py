@@ -75,6 +75,15 @@ class TestRepresentationMap:
             with pytest.raises(ValueError, match=rf"^invalid representation map: f\(1\) = {image} "):
                 checker(r)
 
+    @pytest.mark.parametrize("image", [None, True, 1.0, "1"], ids=["none", "bool", "float", "str"])
+    def test_image_that_is_not_an_int_is_outside_the_target(self, image):
+        # True and 1.0 compare equal to 1, but no universe element is a bool or a float
+        r = RepresentationMap.make(FiniteStructure.make(2), FiniteStructure.make(2), [0, image])
+        assert r.validate() == [f"f(1) = {image!r} outside target universe"]
+        for checker in (check_representation, check_by_partial_automorphisms):
+            with pytest.raises(ValueError, match=r"^invalid representation map: f\(1\) = "):
+                checker(r)
+
     def test_fibers(self):
         r = one_per_class_rep(False)
         assert r.fibers[r.f[1]] == (1, 2)

@@ -21,7 +21,6 @@ from repsieve import (
     build_sid,
     build_term_representation,
     check_representation,
-    desk_model,
     instability_probe,
     qf_type,
     sieve,
@@ -535,8 +534,7 @@ def catalog_maps():
         TheorySpec.make("eq_rel", classes=3, size=3),
         TheorySpec.make("nested_eq_rel", sizes=(2, 2, 2)),
     ):
-        m = desk_model(spec)
-        d = build_sid(theory_oracle(spec, m), m, mode="omega_stable")
+        d = build_sid(theory_oracle(spec), mode="omega_stable")
         maps.append(build_term_representation(d, mode="copy_index"))
         maps.append(build_term_representation(d, mode="literal"))
         maps.append(build_layer_representation(singleton_prefix(d)))
@@ -614,8 +612,7 @@ def stage2_maps():
         TheorySpec.make("nested_eq_rel", sizes=(2, 2, 2)),
         TheorySpec.make("nested_eq_rel", sizes=(3, 3, 3)),
     ):
-        m = desk_model(spec)
-        d = build_sid(theory_oracle(spec, m), m, mode="omega_stable")
+        d = build_sid(theory_oracle(spec), mode="omega_stable")
         maps.append(build_term_representation(d))
         maps.append(build_layer_representation(singleton_prefix(d)))
     return maps + [branching_map(seed) for seed in range(40)]

@@ -18,6 +18,7 @@ from repsieve import termalg
 from repsieve.termalg import Term
 from repsieve.theories import (
     Decomposition,
+    IndependenceOracle,
     TheorySpec,
     _max_indiscernible,
     build_layer_representation,
@@ -25,7 +26,6 @@ from repsieve.theories import (
     build_term_representation,
     check_strongly_independent,
     desk_model,
-    nested_class_oracle,
     singleton_prefix,
     theory_oracle,
     verify_decomposition,
@@ -45,8 +45,8 @@ def catalog(tag, **params):
     key = (tag, tuple(sorted(params.items())))
     if key not in _CATALOG_CACHE:
         spec = TheorySpec.make(tag, **params)
-        m = desk_model(spec)
-        _CATALOG_CACHE[key] = (m, theory_oracle(spec, m))
+        o = theory_oracle(spec)
+        _CATALOG_CACHE[key] = (o.model, o)
     return _CATALOG_CACHE[key]
 
 
@@ -56,6 +56,14 @@ def eq3x3():
 
 def nested222():
     return catalog("nested_eq_rel", sizes=(2, 2, 2))
+
+
+def pure5():
+    return catalog("pure_set", n=5)
+
+
+def eq2x3():
+    return catalog("eq_rel", classes=2, size=3)
 
 
 def same_type_over(m, a, b, pinned):
@@ -98,7 +106,7 @@ class TestCatalogModels:
         with pytest.raises(ValueError, match="unknown catalog tag 'dense_order'"):
             desk_model(stray)
         with pytest.raises(ValueError, match="unknown catalog tag 'dense_order'"):
-            theory_oracle(stray, FiniteStructure.make(3))
+            theory_oracle(stray)
 
 
 class TestOracle:
@@ -140,7 +148,7 @@ class TestOracle:
     def test_unstable_entry_refuses(self):
         spec = TheorySpec.make("linear_order", n=4)
         with pytest.raises(NotImplementedError, match="unstable catalog entry"):
-            theory_oracle(spec, desk_model(spec))
+            theory_oracle(spec)
 
     def test_level_names_finest_first(self):
         _, o = nested222()
@@ -149,7 +157,36 @@ class TestOracle:
     def test_oracle_requires_binary_levels(self):
         m = FiniteStructure.make(3, relations={"P": (1, {(0,)})})
         with pytest.raises(ValueError):
-            nested_class_oracle(m, ("P",))
+            IndependenceOracle(m, ("P",))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            {(0, 0), (1, 1)},  # not reflexive on 2
+            {(0, 0), (1, 1), (2, 2), (0, 1)},  # not symmetric
+            {(x, x) for x in range(3)} | {(0, 1), (1, 0), (1, 2), (2, 1)},  # not transitive
+        ],
+        ids=["reflexive", "symmetric", "transitive"],
+    )
+    def test_oracle_requires_equivalence_relations(self, pairs):
+        m = FiniteStructure.make(3, relations={"E": (2, pairs)})
+        with pytest.raises(ValueError, match="^E is not an equivalence relation$"):
+            IndependenceOracle(m, ("E",))
+
+    def test_oracle_requires_each_level_to_refine_the_next(self):
+        # with crossing levels, omega-stable build_sid finds no element to
+        # start a layer, and generic mode's layers pass verify_decomposition
+        def classes(*blocks):
+            return (2, {(x, y) for b in blocks for x in b for y in b})
+
+        m = FiniteStructure.make(
+            4, relations={"E0": classes({0, 1}, {2, 3}), "E1": classes({0, 2}, {1, 3})}
+        )
+        with pytest.raises(ValueError, match="^E0 does not refine E1$"):
+            IndependenceOracle(m, ("E0", "E1"))
+        _, o = nested222()
+        with pytest.raises(ValueError, match="^E0 does not refine E1$"):
+            IndependenceOracle(o.model, ("E0", "E1"))  # coarsest first
 
 
 class TestStrongIndependence:
@@ -193,7 +230,7 @@ class TestUniquenessCrossCheck:
                 return False
         return True
 
-    @pytest.mark.parametrize("make", [eq3x3, nested222])
+    @pytest.mark.parametrize("make", [eq3x3, nested222, pure5, eq2x3])
     def test_exhaustive_small_bases(self, make):
         m, o = make()
         elems = range(m.size)
@@ -207,7 +244,7 @@ class TestUniquenessCrossCheck:
                 for k in range(len(big) + 1):
                     for small in itertools.combinations(sorted(big), k):
                         small = frozenset(small)
-                        assert o.unique_nonforking(a, big, small) == self.honest(
+                        assert (not o.forks(a, big, small)) == self.honest(
                             o, m, a, set(big), set(small)
                         ), (a, sorted(big), sorted(small))
 
@@ -227,9 +264,6 @@ class TestAutomorphismInvariance:
             for a, big, small in cases:
                 ha, hbig, hsmall = h[a], {h[x] for x in big}, {h[x] for x in small}
                 assert o.forks(a, big, small) == o.forks(ha, hbig, hsmall)
-                assert o.unique_nonforking(a, big, small) == o.unique_nonforking(
-                    ha, hbig, hsmall
-                )
 
     def test_base_property_invariant(self):
         # the chosen base element can move, but the image of a valid base
@@ -273,18 +307,18 @@ class TestSymmetry:
                     b
                     for b in subs
                     if not o.forks(a1, big | {a2}, b)
-                    and o.unique_nonforking(a1, big, b)
+                    and not o.forks(a1, big, b)
                 ]
                 good2 = [
                     b
                     for b in subs
                     if not o.forks(a2, big | {a1}, b)
-                    and o.unique_nonforking(a2, big, b)
+                    and not o.forks(a2, big, b)
                 ]
                 for b1 in good1:
-                    s1 = o.unique_nonforking(a1, big | {a2}, b1)
+                    s1 = not o.forks(a1, big | {a2}, b1)
                     for b2 in good2:
-                        s2 = o.unique_nonforking(a2, big | {a1}, b2)
+                        s2 = not o.forks(a2, big | {a1}, b2)
                         assert s1 == s2, (a1, a2, sorted(big), sorted(b1), sorted(b2))
                         checked += 1
         assert checked > 1000
@@ -293,25 +327,25 @@ class TestSymmetry:
 class TestBuildSid:
     def test_eq3x3_layers(self):
         m, o = eq3x3()
-        d = build_sid(o, m, "omega_stable")
+        d = build_sid(o, "omega_stable")
         assert d.layers == ((0, 1, 2), (3, 6), (4, 5, 7, 8))
-        assert d.record(3).base == () and d.record(4).base == (3,)
-        assert d.record(7).base == (6,)
-        assert [d.record(a).copy_index for a in (4, 5, 7, 8)] == [0, 1, 0, 1]
+        assert d.records[3].base == () and d.records[4].base == (3,)
+        assert d.records[7].base == (6,)
+        assert [d.records[a].copy_index for a in (4, 5, 7, 8)] == [0, 1, 0, 1]
 
     def test_eq3x3_generic_layers(self):
         m, o = eq3x3()
-        d = build_sid(o, m, "generic")
+        d = build_sid(o, "generic")
         assert d.layers == ((0, 3, 6), (1, 2, 4, 5, 7, 8))
         assert d.mode == "generic"
 
     def test_nested_layers(self):
         m, o = nested222()
-        d = build_sid(o, m, "omega_stable")
+        d = build_sid(o, "omega_stable")
         assert d.layers == ((0, 1), (2, 4), (3, 5, 6), (7,))
-        assert d.record(2).base == (0,)
-        assert d.record(4).base == ()
-        assert d.record(7).base == (6,)
+        assert d.records[2].base == (0,)
+        assert d.records[4].base == ()
+        assert d.records[7].base == (6,)
 
     def test_small_eq_layers(self):
         shapes = {
@@ -321,23 +355,23 @@ class TestBuildSid:
         }
         for (classes, size), want in shapes.items():
             m, o = catalog("eq_rel", classes=classes, size=size)
-            assert build_sid(o, m).layers == want
+            assert build_sid(o).layers == want
 
     def test_pure_set_single_layer(self):
         m, o = catalog("pure_set", n=6)
-        d = build_sid(o, m)
+        d = build_sid(o)
         assert d.layers == ((0, 1, 2, 3, 4, 5),)
-        assert all(d.record(a).base == () for a in range(6))
+        assert all(d.records[a].base == () for a in range(6))
 
     def test_singleton_model(self):
         m, o = catalog("pure_set", n=1)
-        assert build_sid(o, m).layers == ((0,),)
+        assert build_sid(o).layers == ((0,),)
 
     def test_partner_classes(self):
         m, o = catalog("eq_rel", classes=9, size=2)
-        d = build_sid(o, m)
+        d = build_sid(o)
         assert d.layers == (tuple(range(0, 18, 2)), tuple(range(1, 18, 2)))
-        assert d.record(1).base == (0,) and d.record(17).base == (16,)
+        assert d.records[1].base == (0,) and d.records[17].base == (16,)
 
     def test_layers_partition_and_verify(self):
         for tag, kw in [
@@ -348,7 +382,7 @@ class TestBuildSid:
         ]:
             m, o = catalog(tag, **kw)
             for mode in ("generic", "omega_stable"):
-                d = build_sid(o, m, mode)
+                d = build_sid(o, mode)
                 flat = sorted(x for layer in d.layers for x in layer)
                 assert flat == list(range(m.size))
                 assert verify_decomposition(d) == []
@@ -360,43 +394,43 @@ class TestBuildSid:
             ("pure_set", dict(n=6)),
         ]:
             m, o = catalog(tag, **kw)
-            first = build_sid(o, m).layers[0]
+            first = build_sid(o).layers[0]
             singles = [(e,) for e in first]
             assert verify_indiscernible(m, singles, range(len(first)))
 
     def test_deterministic(self):
         m, o = eq3x3()
-        d1, d2 = build_sid(o, m), build_sid(o, m)
+        d1, d2 = build_sid(o), build_sid(o)
         assert d1.layers == d2.layers and d1.records == d2.records
 
     def test_bad_mode(self):
         m, o = eq3x3()
         with pytest.raises(ValueError):
-            build_sid(o, m, "superstable")
+            build_sid(o, "superstable")
 
 
 class TestRefine:
     def test_singleton_prefix_shapes(self):
         m, o = eq3x3()
-        d = singleton_prefix(build_sid(o, m))
+        d = singleton_prefix(build_sid(o))
         assert d.layers == ((0,), (1,), (2,), (3, 6), (4, 5, 7, 8))
         assert singleton_prefix(d).layers == d.layers
         m6, o6 = catalog("pure_set", n=6)
-        assert singleton_prefix(build_sid(o6, m6)).layers == ((0,), (1,), (2, 3, 4, 5))
+        assert singleton_prefix(build_sid(o6)).layers == ((0,), (1,), (2, 3, 4, 5))
 
     def test_records_follow_new_boundaries(self):
         m, o = eq3x3()
-        d = build_sid(o, m)
-        assert d.record(2).base == ()
+        d = build_sid(o)
+        assert d.records[2].base == ()
         d2 = singleton_prefix(d)
         # 2 now sits above {0, 1}, so its class is anchored below
-        assert d2.record(2).base == (0,)
-        assert d2.record(2).layer == 2
+        assert d2.records[2].base == (0,)
+        assert d2.records[2].layer == 2
 
     def test_singleton_prefix_needs_two_elements(self):
         m, o = catalog("pure_set", n=1)
         with pytest.raises(ValueError):
-            singleton_prefix(build_sid(o, m))
+            singleton_prefix(build_sid(o))
 
 
 def term_c(tag, k=None):
@@ -412,7 +446,7 @@ def term_f(tag, k, *args):
 class TestTermRepresentation:
     def test_eq3x3_assignments(self):
         m, o = eq3x3()
-        d = build_sid(o, m)
+        d = build_sid(o)
         r = build_term_representation(d)
         ta = r.carrier
         want = {
@@ -431,13 +465,13 @@ class TestTermRepresentation:
 
     def test_eq3x3_checks_clean(self):
         m, o = eq3x3()
-        r = build_term_representation(build_sid(o, m))
+        r = build_term_representation(build_sid(o))
         report = check_representation(r, LEN3)
         assert report.empty and report.checked > 300
 
     def test_literal_mode_collapses_siblings(self):
         m, o = eq3x3()
-        r = build_term_representation(build_sid(o, m), "literal")
+        r = build_term_representation(build_sid(o), "literal")
         assert r.f[4] == r.f[5]
         report = check_representation(r, LEN3)
         assert not report.empty
@@ -445,7 +479,7 @@ class TestTermRepresentation:
 
     def test_nested_assignments(self):
         m, o = nested222()
-        r = build_term_representation(build_sid(o, m))
+        r = build_term_representation(build_sid(o))
         ta = r.carrier
         x0, x1 = Term.of_base(0), Term.of_base(1)
         f2 = term_f("t1", 0, x0)
@@ -467,33 +501,33 @@ class TestTermRepresentation:
 
     def test_partner_symbol_shared(self):
         m, o = catalog("eq_rel", classes=9, size=2)
-        r = build_term_representation(build_sid(o, m))
+        r = build_term_representation(build_sid(o))
         ta = r.carrier
         syms = {ta.term(r.f[a]).sym for a in range(1, 18, 2)}
         assert syms == {"F[t1,0]"}
 
     def test_pure_set_is_a_bijection(self):
         m, o = catalog("pure_set", n=6)
-        r = build_term_representation(build_sid(o, m))
+        r = build_term_representation(build_sid(o))
         assert sorted(r.f) == list(range(6))
         assert not dict(r.carrier.signature.symbols)
 
     def test_generic_mode_rejected(self):
         m, o = eq3x3()
-        d = build_sid(o, m, "generic")
+        d = build_sid(o, "generic")
         with pytest.raises(ValueError):
             build_term_representation(d)
 
     def test_term_table_overflow(self, monkeypatch):
         m, o = eq3x3()
-        d = build_sid(o, m)
+        d = build_sid(o)
         monkeypatch.setattr(termalg, "MAX_TERMS", 5)
         with pytest.raises(ValueError, match="exceeds 5 entries"):
             build_term_representation(d)
 
     def test_deterministic(self):
         m, o = nested222()
-        d = build_sid(o, m)
+        d = build_sid(o)
         r1 = build_term_representation(d)
         r2 = build_term_representation(d)
         assert r1.f == r2.f
@@ -503,7 +537,7 @@ class TestTermRepresentation:
 class TestLayerRepresentation:
     def test_eq3x3_functions(self):
         m, o = eq3x3()
-        d = singleton_prefix(build_sid(o, m))
+        d = singleton_prefix(build_sid(o))
         r = build_layer_representation(d)
         fns = {f.name: {a: v for (a,), v in f.as_dict.items()} for f in r.enrichment.functions}
         assert fns["F[E,0]"] == {2: 0, 3: 0, 4: 3, 5: 3, 6: 0, 7: 6, 8: 6}
@@ -516,25 +550,25 @@ class TestLayerRepresentation:
 
     def test_eq3x3_checks_clean(self):
         m, o = eq3x3()
-        r = build_layer_representation(singleton_prefix(build_sid(o, m)))
+        r = build_layer_representation(singleton_prefix(build_sid(o)))
         assert validate_enrichment(FiniteStructure.make(9), r.enrichment) == []
         report = check_representation(r, LEN3)
         assert report.empty and report.checked > 400
 
     def test_nested_checks_clean(self):
         m, o = nested222()
-        r = build_layer_representation(singleton_prefix(build_sid(o, m)))
+        r = build_layer_representation(singleton_prefix(build_sid(o)))
         assert check_representation(r, LEN3).empty
 
     def test_pure_set_has_no_functions(self):
         m, o = catalog("pure_set", n=6)
-        r = build_layer_representation(singleton_prefix(build_sid(o, m)))
+        r = build_layer_representation(singleton_prefix(build_sid(o)))
         assert r.enrichment.functions == ()
         assert check_representation(r, LEN3).empty
 
     def test_requires_singleton_prefix(self):
         m, o = eq3x3()
-        d = build_sid(o, m)
+        d = build_sid(o)
         with pytest.raises(ValueError):
             build_layer_representation(d)
 
@@ -560,12 +594,12 @@ SMALL_SPECS = [
 def test_decompositions_are_sound(pick, mode):
     tag, kw = pick
     m, o = catalog(tag, **kw)
-    d = build_sid(o, m, mode)
+    d = build_sid(o, mode)
     assert sorted(x for layer in d.layers for x in layer) == list(range(m.size))
     assert verify_decomposition(d) == []
     for idx, layer in enumerate(d.layers):
         for a in layer:
-            assert set(d.record(a).base) <= set(d.below(idx))
+            assert set(d.records[a].base) <= set(d.below(idx))
 
 
 @settings(deadline=None, max_examples=16)
@@ -573,7 +607,7 @@ def test_decompositions_are_sound(pick, mode):
 def test_term_builds_represent(pick):
     tag, kw = pick
     m, o = catalog(tag, **kw)
-    r = build_term_representation(build_sid(o, m))
+    r = build_term_representation(build_sid(o))
     assert check_representation(r, CheckerPolicy(max_tuple_len=2)).empty
 
 
@@ -582,7 +616,7 @@ def test_term_builds_represent(pick):
 def test_layer_builds_represent(pick):
     tag, kw = pick
     m, o = catalog(tag, **kw)
-    r = build_layer_representation(singleton_prefix(build_sid(o, m)))
+    r = build_layer_representation(singleton_prefix(build_sid(o)))
     assert check_representation(r, CheckerPolicy(max_tuple_len=2)).empty
 
 

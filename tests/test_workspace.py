@@ -13,7 +13,6 @@ from repsieve import (
     build_layer_representation,
     build_sid,
     build_term_representation,
-    desk_model,
     parse_workspace,
     render_workspace,
     singleton_prefix,
@@ -26,9 +25,7 @@ from conftest import linear
 
 def built_reps(tag, **params):
     spec = TheorySpec.make(tag, **params)
-    m = desk_model(spec)
-    o = theory_oracle(spec, m)
-    d = build_sid(o, m)
+    d = build_sid(theory_oracle(spec))
     ex2 = build_term_representation(d)
     ex1 = build_layer_representation(singleton_prefix(d))
     return spec, ex2, ex1
