@@ -52,14 +52,6 @@ class TheorySpec:
     tag: str
     params: tuple
 
-    # tag -> its parameters: ``sizes`` lists the level sizes, every other
-    # parameter is one positive integer
-    KNOWN = {
-        "pure_set": ("n",),
-        "eq_rel": ("classes", "size"),
-        "nested_eq_rel": ("sizes",),
-        "linear_order": ("n",),
-    }
     # Desk models are built by exhaustive search.  At the bound, build-ex2
     # takes 0.4 s on eq_rel 8x8 and 0.7 s on pure_set 64, whole command
     # (2-vCPU VM, Python 3.11); the README's Workspaces section has the table.
@@ -67,33 +59,19 @@ class TheorySpec:
 
     @classmethod
     def make(cls, tag: str, **params) -> "TheorySpec":
-        """Validated entry; an error message starts with the offending
-        field, ``tag`` or ``params.<key>``."""
-        if not isinstance(tag, str) or tag not in cls.KNOWN:
+        """Validated entry with normalised parameters; an error message
+        starts with the offending field, ``tag`` or ``params.<key>``."""
+        if not isinstance(tag, str) or tag not in _CATALOG:
             raise ValueError(f"tag: unknown catalog tag {tag!r}")
-        stray = sorted(params.keys() - set(cls.KNOWN[tag]))
+        row = _CATALOG[tag]
+        stray = sorted(params.keys() - row.params.keys())
         if stray:
             raise ValueError(f"params.{stray[0]}: not a parameter of {tag}")
-
-        def positive(v):
-            return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-        for key in cls.KNOWN[tag]:
+        for key, check in row.params.items():
             if key not in params:
                 raise ValueError(f"params.{key}: missing")
-            v = params[key]
-            if key == "sizes":
-                if not (isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(positive, v))):
-                    raise ValueError(
-                        f"params.{key}: expected a list of at least two positive "
-                        f"integers, got {v!r}"
-                    )
-            elif not positive(v):
-                raise ValueError(f"params.{key}: expected a positive integer, got {v!r}")
-        # every catalog model's universe size is the product of its parameters
-        size = math.prod(
-            x for key in cls.KNOWN[tag] for x in (params[key] if key == "sizes" else (params[key],))
-        )
+            params[key] = check(key, params[key])
+        size = math.prod(row.levels(**params)[0])
         if size > cls.MAX_UNIVERSE:
             raise ValueError(
                 f"params: the desk model would have {size} elements, "
@@ -105,29 +83,28 @@ class TheorySpec:
         return dict(self.params)[key]
 
 
-def _blocks(spec: TheorySpec) -> tuple:
-    """A class-based catalog entry as nested blocks: how many parts each
-    level splits a block of the level above into, coarsest first, and one
-    relation name per level but the last, whose classes are its blocks."""
-    if spec.tag == "pure_set":
-        return (spec.param("n"),), ()
-    if spec.tag == "eq_rel":
-        return (spec.param("classes"), spec.param("size")), ("E",)
-    if spec.tag == "nested_eq_rel":
-        sizes = tuple(spec.param("sizes"))
-        return sizes, tuple(f"E{j}" for j in range(len(sizes) - 1))
-    raise ValueError(f"unknown catalog tag {spec.tag!r}")
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
-def desk_model(spec: TheorySpec) -> FiniteStructure:
-    """The concrete finite structure for a catalog entry.  Homogeneous by
-    construction: classes at each level share a size, so orbit types agree
-    with the intended theory on the tuple lengths the checkers look at."""
-    if spec.tag == "linear_order":
-        n = spec.param("n")
-        lt = {(i, j) for i in range(n) for j in range(n) if i < j}
-        return FiniteStructure.make(n, relations={"lt": (2, lt)})
-    sizes, names = _blocks(spec)
+def _positive(key, v) -> int:
+    if not _is_count(v):
+        raise ValueError(f"params.{key}: expected a positive integer, got {v!r}")
+    return v
+
+
+def _level_sizes(key, v) -> tuple:
+    listed, bound = isinstance(v, (list, tuple)), TheorySpec.MAX_UNIVERSE
+    if listed and len(v) > bound:
+        raise ValueError(f"params.{key}: {len(v)} levels, more than the bound of {bound}")
+    if listed and len(v) >= 2 and all(map(_is_count, v)):
+        return tuple(v)
+    raise ValueError(f"params.{key}: expected a list of at least two positive integers, got {v!r}")
+
+
+def _blocks(sizes, names) -> FiniteStructure:
+    """Nested blocks: level j splits each block of the level above into
+    ``sizes[j]`` parts, and relation ``names[j]`` holds within a part."""
     n = block = math.prod(sizes)
     relations = {}
     for parts, name in zip(sizes, names):
@@ -135,6 +112,49 @@ def desk_model(spec: TheorySpec) -> FiniteStructure:
         classes = (range(start, start + block) for start in range(0, n, block))
         relations[name] = (2, {p for c in classes for p in itertools.product(c, repeat=2)})
     return FiniteStructure.make(n, relations=relations)
+
+
+def _linear_order(sizes, names) -> FiniteStructure:
+    lt = set(itertools.combinations(range(sizes[0]), 2))
+    return FiniteStructure.make(sizes[0], relations={"lt": (2, lt)})
+
+
+@record
+class _Entry:
+    params: dict  # key -> check(key, value), which returns the value normalised
+    levels: object  # **params -> (part counts coarsest first, one name per level but the last)
+    build: object  # (part counts, names) -> desk model; its size is the counts' product
+    stable: bool  # has an independence oracle
+
+
+_CATALOG = {
+    "pure_set": _Entry({"n": _positive}, lambda n: ((n,), ()), _blocks, True),
+    "eq_rel": _Entry(
+        {"classes": _positive, "size": _positive}, lambda classes, size: ((classes, size), ("E",)),
+        _blocks, True,
+    ),
+    "nested_eq_rel": _Entry(
+        {"sizes": _level_sizes}, lambda sizes: (sizes, tuple(f"E{j}" for j in range(len(sizes) - 1))),
+        _blocks, True,
+    ),
+    "linear_order": _Entry({"n": _positive}, lambda n: ((n,), ()), _linear_order, False),
+}
+
+
+def _levels(spec: TheorySpec) -> tuple:
+    """The spec's catalog row, its part counts and its relation names."""
+    row = _CATALOG.get(spec.tag)
+    if row is None:
+        raise ValueError(f"unknown catalog tag {spec.tag!r}")
+    return (row, *row.levels(**dict(spec.params)))
+
+
+def desk_model(spec: TheorySpec) -> FiniteStructure:
+    """The concrete finite structure for a catalog entry.  Homogeneous by
+    construction: classes at each level share a size, so orbit types agree
+    with the intended theory on the tuple lengths the checkers look at."""
+    row, sizes, names = _levels(spec)
+    return row.build(sizes, names)
 
 
 class IndependenceOracle:
@@ -199,15 +219,15 @@ class IndependenceOracle:
             raise ValueError(f"unknown level relation {phi!r}")
         anchored = self._mates[phi][a] & set(below)
         if anchored:
-            c = min(anchored)
-            return (c, c)
+            return (min(anchored),) * 2
         return (below[0], below[1])
 
 
 def theory_oracle(spec: TheorySpec) -> IndependenceOracle:
-    if spec.tag == "linear_order":
+    row, sizes, names = _levels(spec)
+    if not row.stable:
         raise NotImplementedError("no independence oracle for an unstable catalog entry")
-    return IndependenceOracle(desk_model(spec), _blocks(spec)[1][::-1])
+    return IndependenceOracle(row.build(sizes, names), names[::-1])
 
 
 def check_strongly_independent(o: IndependenceOracle, elems, over) -> bool:
@@ -258,9 +278,7 @@ class Decomposition:
         return tuple(records[a] for a in sorted(records))
 
     def below(self, layer_index: int) -> tuple:
-        return tuple(
-            sorted(x for layer in self.layers[:layer_index] for x in layer)
-        )
+        return tuple(sorted(x for layer in self.layers[:layer_index] for x in layer))
 
 
 def _max_indiscernible(m: FiniteStructure) -> tuple:
@@ -337,11 +355,9 @@ def verify_decomposition(d: Decomposition) -> list:
     must sit inside the earlier layers.
     """
     o, m = d.oracle, d.oracle.model
+    if sorted(x for layer in d.layers for x in layer) != list(range(m.size)):
+        return ["layers do not partition the universe"]
     out = []
-    flat = sorted(x for layer in d.layers for x in layer)
-    if flat != list(range(m.size)):
-        out.append("layers do not partition the universe")
-        return out
     if d.mode == "generic":
         for idx, layer in enumerate(d.layers):
             if not check_strongly_independent(o, set(layer), set(d.below(idx))):
@@ -411,10 +427,8 @@ def build_term_representation(d: Decomposition, mode: str = "copy_index") -> Rep
             rec = d.records[a]
             arity = len(rec.base)
             head = "c" if arity == 0 else "F"
-            if mode == "copy_index":
-                name = f"{head}[{rec.type_tag},{rec.copy_index}]"
-            else:
-                name = f"{head}[{rec.type_tag}]"
+            copy = f",{rec.copy_index}" if mode == "copy_index" else ""
+            name = f"{head}[{rec.type_tag}{copy}]"
             prior = symbols.setdefault(name, arity)
             if prior != arity:
                 raise RuntimeError(f"symbol {name} used at arities {prior} and {arity}")
@@ -432,9 +446,7 @@ def build_layer_representation(d: Decomposition) -> RepresentationMap:
     layers as levels, two parameter functions per level relation, and one
     function enumerating each element's base."""
     if len(d.layers) < 2 or len(d.layers[0]) != 1 or len(d.layers[1]) != 1:
-        raise ValueError(
-            "first two layers must be singletons; refine the decomposition first"
-        )
+        raise ValueError("first two layers must be singletons; refine the decomposition first")
     o, m = d.oracle, d.oracle.model
     functions: dict = {}
     star: dict = {}

@@ -194,7 +194,7 @@ def _signature_parse(doc, where: str) -> TermAlgebra:
 
 
 def _theory_doc(spec: TheorySpec) -> dict:
-    return {"tag": spec.tag, "params": {k: _plain(v) for k, v in spec.params}}
+    return {"tag": spec.tag, "params": dict(spec.params)}
 
 
 def _theory_parse(doc, where: str) -> TheorySpec:
@@ -203,7 +203,7 @@ def _theory_parse(doc, where: str) -> TheorySpec:
     if not isinstance(params, dict):
         raise WorkspaceError(f"{where}.params: expected an object, got {type(params).__name__}")
     try:
-        return TheorySpec.make(doc["tag"], **{k: _frozen(v) for k, v in params.items()})
+        return TheorySpec.make(doc["tag"], **params)
     except ValueError as exc:
         raise WorkspaceError(f"{where}.{exc}") from exc
 
@@ -260,18 +260,6 @@ def _entry_resolve(doc, parts: dict, where: str) -> RepresentationMap:
     if bad:
         raise WorkspaceError(f"{where}: image {bad[0]!r} outside the target universe")
     return RepresentationMap.make(source, target, images, carrier=carrier, enrichment=enrichment)
-
-
-def _plain(v):
-    if isinstance(v, tuple):
-        return [_plain(x) for x in v]
-    return v
-
-
-def _frozen(v):
-    if isinstance(v, list):
-        return tuple(_frozen(x) for x in v)
-    return v
 
 
 def _int(value, where: str) -> int:

@@ -256,3 +256,38 @@ def validate_trace(trace) -> list:
                         f"tuples {a} and {b} share a value at positions {i},{j} outside {sorted(u)}"
                     )
     return out
+
+
+def exchange_law(o) -> tuple:
+    """Cases and failures of exchange symmetry on the oracle's model: for
+    a1 != a2 outside a base B of at most two elements, a1 forks over B once
+    a2 is added exactly when a2 forks over B once a1 is added."""
+    n = o.model.size
+    cases, failures = 0, []
+    for k in range(3):
+        for base in map(set, itertools.combinations(range(n), k)):
+            for a1, a2 in itertools.permutations(sorted(set(range(n)) - base), 2):
+                cases += 1
+                if o.forks(a1, base | {a2}, base) != o.forks(a2, base | {a1}, base):
+                    failures.append((a1, a2, sorted(base)))
+    return cases, failures
+
+
+def transitivity_law(o) -> tuple:
+    """Cases and failures of transitivity on the oracle's model: for every a
+    and B ⊆ C ⊆ D with |D| <= 3, a's type over D forks over B exactly when
+    it forks over C or a's type over C forks over B."""
+
+    def subsets(xs, most):
+        return (c for k in range(min(len(xs), most) + 1) for c in itertools.combinations(xs, k))
+
+    n = o.model.size
+    cases, failures = 0, []
+    for d in subsets(range(n), 3):
+        for c in subsets(d, 3):
+            for b in subsets(c, 3):
+                for a in range(n):
+                    cases += 1
+                    if o.forks(a, d, b) != (o.forks(a, d, c) or o.forks(a, c, b)):
+                        failures.append((a, d, c, b))
+    return cases, failures

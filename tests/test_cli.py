@@ -232,6 +232,21 @@ class TestWorkspaceValidation:
         assert f"theories.t.{field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([4], "expected a list of at least two positive integers, got [4]"),
+            ([1] * 200_000, "200000 levels, more than the bound of 64"),
+        ],
+        ids=["echoed-as-given", "too-many-levels"],
+    )
+    def test_bad_level_sizes(self, tmp_path, capsys, sizes, message):
+        path = tmp_path / "ws.json"
+        theory = {"tag": "nested_eq_rel", "params": {"sizes": sizes}}
+        path.write_text(json.dumps({"version": 1, "theories": {"t": theory}}))
+        assert run_command(["build-ex2", str(path), "--theory", "t"]) == 2
+        assert f"error: theories.t.params.sizes: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda rep, enr: rep.update(target=rep["source"]),

@@ -2,6 +2,9 @@
 two representation builders."""
 
 import itertools
+import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from repsieve.theories import (
     Decomposition,
     IndependenceOracle,
     TheorySpec,
+    _levels,
     _max_indiscernible,
     build_layer_representation,
     build_sid,
@@ -31,7 +35,12 @@ from repsieve.theories import (
     verify_decomposition,
 )
 
-from reference import all_extensions, max_indiscernible_by_representatives
+from reference import (
+    all_extensions,
+    exchange_law,
+    max_indiscernible_by_representatives,
+    transitivity_law,
+)
 from test_orbits import SEEDS, random_structure
 
 LEN3 = CheckerPolicy(max_tuple_len=3)
@@ -107,6 +116,58 @@ class TestCatalogModels:
             desk_model(stray)
         with pytest.raises(ValueError, match="unknown catalog tag 'dense_order'"):
             theory_oracle(stray)
+
+    def test_list_params_normalise_to_tuples(self):
+        listed = TheorySpec.make("nested_eq_rel", sizes=[2, 2, 2])
+        spec = TheorySpec.make("nested_eq_rel", sizes=(2, 2, 2))
+        assert listed == spec and hash(listed) == hash(spec)
+        assert listed.param("sizes") == (2, 2, 2)
+
+    @pytest.mark.parametrize("levels", [65, 200_000])
+    def test_level_bound_checked_before_building(self, levels):
+        sizes = [1] * levels
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(
+                ValueError, match=f"^params.sizes: {levels} levels, more than the bound of 64$"
+            ):
+                TheorySpec.make("nested_eq_rel", sizes=sizes)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5, elapsed
+        assert peak < 1_000_000, peak
+
+    def test_level_bound_admits_the_largest_chain_under_it(self):
+        m = desk_model(TheorySpec.make("nested_eq_rel", sizes=[1] * 64))
+        assert m.size == 1 and len(m.relations) == 63
+
+    def test_catalog_columns_agree(self):
+        # every spec of at most 16 elements: the size make bounds is the desk
+        # model's, and a stable entry's oracle levels are the model's
+        # relations, finest first
+        specs = [TheorySpec.make(tag, n=n) for tag in ("pure_set", "linear_order")
+                 for n in range(1, 17)]
+        specs += [TheorySpec.make("eq_rel", classes=c, size=s)
+                  for c in range(1, 17) for s in range(1, 17 // c + 1)]
+        specs += [TheorySpec.make("nested_eq_rel", sizes=sizes)
+                  for k in (2, 3, 4) for sizes in itertools.product(range(1, 17), repeat=k)
+                  if math.prod(sizes) <= 16]
+        for spec in specs:
+            m = desk_model(spec)
+            assert math.prod(_levels(spec)[1]) == m.size, spec
+            if spec.tag == "linear_order":
+                with pytest.raises(NotImplementedError):
+                    theory_oracle(spec)
+                continue
+            o = theory_oracle(spec)
+            assert o.model == m
+            assert sorted(o.level_names) == sorted(r.name for r in m.relations), spec
+            pairs = [len(m.relation(name).tuples) for name in o.level_names]
+            assert pairs == sorted(pairs), spec
+        assert len(specs) == 447
 
 
 class TestOracle:
@@ -282,46 +343,26 @@ class TestAutomorphismInvariance:
 
 
 class TestSymmetry:
-    """Two elements, each independent from the other over its own base:
-    uniqueness of the extension over the enlarged domain holds for one
-    exactly when it holds for the other."""
+    """Two laws of forking, checked exhaustively on small bases: exchange
+    symmetry and transitivity (see ``reference.exchange_law`` and
+    ``reference.transitivity_law``)."""
+
+    EXCHANGE_CASES = {"eq3x3": 2088, "nested222": 1232}
+    TRANSITIVITY_CASES = {"eq3x3": 23_580, "nested222": 14_312}
 
     @pytest.mark.parametrize("make", [eq3x3, nested222])
     def test_exhaustive_pairs(self, make):
-        m, o = make()
-        elems = range(m.size)
-        sets = [
-            frozenset(c)
-            for k in range(3)
-            for c in itertools.combinations(elems, k)
-        ]
-        checked = 0
-        for a1, a2 in itertools.permutations(elems, 2):
-            for big in sets:
-                subs = [
-                    frozenset(c)
-                    for k in range(len(big) + 1)
-                    for c in itertools.combinations(sorted(big), k)
-                ]
-                good1 = [
-                    b
-                    for b in subs
-                    if not o.forks(a1, big | {a2}, b)
-                    and not o.forks(a1, big, b)
-                ]
-                good2 = [
-                    b
-                    for b in subs
-                    if not o.forks(a2, big | {a1}, b)
-                    and not o.forks(a2, big, b)
-                ]
-                for b1 in good1:
-                    s1 = not o.forks(a1, big | {a2}, b1)
-                    for b2 in good2:
-                        s2 = not o.forks(a2, big | {a1}, b2)
-                        assert s1 == s2, (a1, a2, sorted(big), sorted(b1), sorted(b2))
-                        checked += 1
-        assert checked > 1000
+        _, o = make()
+        cases, failures = exchange_law(o)
+        assert cases == self.EXCHANGE_CASES[make.__name__]
+        assert failures == []
+
+    @pytest.mark.parametrize("make", [eq3x3, nested222])
+    def test_exhaustive_transitivity(self, make):
+        _, o = make()
+        cases, failures = transitivity_law(o)
+        assert cases == self.TRANSITIVITY_CASES[make.__name__]
+        assert failures == []
 
 
 class TestBuildSid:
